@@ -21,9 +21,8 @@ from .core import (
     ContractViolation,
     EngineError,
     ReasoningState,
-    answers_equivalent,
     derive_seed,
-    normalize_answer,
+    is_correct,
 )
 from .datagen import (
     build_manifest,
@@ -44,6 +43,7 @@ from .mcts import (
     SearchConfig,
     SnapshotError,
     build_tree,
+    iter_nodes,
     snapshot_to_tree,
     tree_to_snapshot,
 )
@@ -108,7 +108,6 @@ _DEFAULTS = {
     "max_pos": 4,
     "max_neg": 4,
     "round": 1,
-    "beta": 0.01,
 }
 
 _CONFIG_TYPES = {
@@ -129,7 +128,6 @@ _CONFIG_TYPES = {
     "max_pos": int,
     "max_neg": int,
     "round": int,
-    "beta": float,
 }
 
 
@@ -290,10 +288,7 @@ def _solve_one(settings: dict, backend, index: int, row: dict, dump_dir: Path | 
     entry["steps"] = report.steps_taken
     entry["candidates"] = report.candidates_returned
     if entry["gold"]:
-        entry["correct"] = bool(
-            report.answer
-            and answers_equivalent(report.answer, normalize_answer(entry["gold"]))
-        )
+        entry["correct"] = is_correct(report.answer, entry["gold"])
     return entry
 
 
@@ -429,12 +424,7 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
         raise SnapshotError(f"snapshot {snapshot_path} is not valid JSON: {exc}")
     tree = snapshot_to_tree(doc)
 
-    nodes = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children)
+    nodes = list(iter_nodes(tree.root))
     by_depth: dict[int, int] = {}
     for node in nodes:
         by_depth[node.depth] = by_depth.get(node.depth, 0) + 1
@@ -521,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--max-pos", dest="max_pos", type=int, default=None)
     generate.add_argument("--max-neg", dest="max_neg", type=int, default=None)
     generate.add_argument("--round", type=int, default=None)
-    generate.add_argument("--beta", type=float, default=None)
     add_shared(generate)
 
     inspect = sub.add_parser("inspect", help="summarize a tree snapshot")

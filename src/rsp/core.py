@@ -96,6 +96,30 @@ class Step:
         return math.exp(self.mean_log_prob)
 
     @classmethod
+    def from_text(
+        cls, text: str, mean_log_prob: float = 0.0, kind: StepKind | None = None
+    ) -> "Step":
+        """Parse one rendered step block; the single step-text codec.
+
+        ``kind`` defaults to ANSWER when the text carries the final-answer
+        marker and CODE otherwise. Answer steps get their extracted answer
+        (MalformedStepError without the marker); code steps get
+        ``contains_code`` from the presence of a code block. Execution
+        metadata (``code_output``, ``code_errored``) is not in the text and
+        keeps its defaults.
+        """
+        if kind is None:
+            kind = StepKind.ANSWER if FINAL_ANSWER_MARKER in text else StepKind.CODE
+        answers = kind is StepKind.ANSWER
+        return cls(
+            kind=kind,
+            text=text,
+            mean_log_prob=mean_log_prob,
+            contains_code=not answers and "<code>" in text,
+            extracted_answer=extract_answer_text(text).normalized if answers else None,
+        )
+
+    @classmethod
     def code_step(
         cls,
         analysis: str,
@@ -239,6 +263,28 @@ def answers_equivalent(a: Answer, b: Answer) -> bool:
             float(a.numeric), float(b.numeric), rel_tol=1e-9, abs_tol=1e-12
         )
     return a.normalized == b.normalized
+
+
+def as_answer(value: str | Answer) -> Answer:
+    """``value`` itself when it is already an Answer, else its normalized form."""
+    return value if isinstance(value, Answer) else normalize_answer(value)
+
+
+def is_correct(predicted: str | Answer | None, gold: str | Answer) -> bool:
+    """Grade a predicted answer against the gold answer.
+
+    Raw strings on either side are normalized first; Answers are compared
+    as they are. A missing prediction (None) is never correct.
+    """
+    return predicted is not None and answers_equivalent(
+        as_answer(predicted), as_answer(gold)
+    )
+
+
+def log_prior(prior: float) -> float:
+    """Mean log-prob whose ``Step.prior`` is ``prior``; exactly 0 for a
+    certain step, so that round trip stays at prior 1."""
+    return math.log(prior) if prior < 1.0 else 0.0
 
 
 def extract_answer_text(text: str) -> Answer:

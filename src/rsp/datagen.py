@@ -20,9 +20,8 @@ from .core import (
     Answer,
     ContractViolation,
     Step,
-    answers_equivalent,
     extract_answer,
-    normalize_answer,
+    is_correct,
 )
 from .mcts import SearchNode, SearchTree, q_targets
 
@@ -93,7 +92,7 @@ def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
                         question_text=tree.question.question_text,
                         steps=steps,
                         predicted_answer=predicted,
-                        correct=answers_equivalent(predicted, tree.gold_answer),
+                        correct=is_correct(predicted, tree.gold_answer),
                         per_step_targets=tuple(targets[n] for n in lineage[1:]),
                         tree_id=tree_id,
                         seed=tree.seed,
@@ -119,9 +118,7 @@ def classify_solution(path: SolutionPath) -> FilterLevel:
     if not path.correct:
         return FilterLevel.INCORRECT
     if path.predicted_answer is not None and any(
-        s.code_output is not None
-        and answers_equivalent(normalize_answer(s.code_output), path.predicted_answer)
-        for s in path.steps
+        is_correct(s.code_output, path.predicted_answer) for s in path.steps
     ):
         return FilterLevel.LEVEL1
     if not any(s.code_errored for s in path.steps):

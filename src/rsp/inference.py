@@ -22,13 +22,13 @@ from .core import (
     extract_answer,
     is_terminal,
 )
-from .datagen import SolutionPath
 from .mcts import (
     EvaluationMode,
     SearchConfig,
     SearchNode,
     SearchTree,
     build_tree,
+    iter_nodes,
 )
 from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend, ProposalRequest
 
@@ -44,35 +44,22 @@ class BeamCandidate:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Outcome of one decode; ``answer`` is None when no path answered."""
+    """Outcome of one decode: ``path`` is the chosen final state, and
+    ``answer`` is None when that state did not answer."""
 
     answer: Answer | None
-    path: SolutionPath
+    path: ReasoningState
     elapsed_seconds: float
     steps_taken: int
     candidates_returned: int
 
 
-def _report_path(state: ReasoningState, answer: Answer | None, seed: int | None) -> SolutionPath:
-    return SolutionPath(
-        question_id=state.question_id,
-        question_text=state.question_text,
-        steps=state.steps,
-        predicted_answer=answer,
-        seed=seed,
-    )
-
-
 def _finish(
-    state: ReasoningState,
-    started: float,
-    candidates_returned: int,
-    seed: int | None,
+    state: ReasoningState, started: float, candidates_returned: int
 ) -> InferenceReport:
-    answer = extract_answer(state.steps[-1]) if state.has_answer else None
     return InferenceReport(
-        answer=answer,
-        path=_report_path(state, answer, seed),
+        answer=extract_answer(state.steps[-1]) if state.has_answer else None,
+        path=state,
         elapsed_seconds=time.perf_counter() - started,
         steps_taken=len(state.steps),
         candidates_returned=candidates_returned,
@@ -153,7 +140,7 @@ def sbs_decode(
         question, backend, beam_width, expansion_width, max_depth, temperature, seed
     )
     best = beam[0]
-    return _finish(best.state, started, len(beam), seed)
+    return _finish(best.state, started, len(beam))
 
 
 def greedy_decode(
@@ -214,22 +201,14 @@ def inference_search_config(**overrides) -> SearchConfig:
 
 
 def count_terminal_nodes(tree: SearchTree) -> int:
-    total = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        if node.terminal:
-            total += 1
-    return total
+    return sum(1 for node in iter_nodes(tree.root) if node.terminal)
 
 
 def decode_tree(tree: SearchTree, beam_width: int = 1, started: float | None = None) -> InferenceReport:
     """Sweep an already-built tree and report its best path."""
     started = time.perf_counter() if started is None else started
     best, _ = q_sweep(tree.root, beam_width, tree.config.q_init)
-    report = _finish(best.state, started, count_terminal_nodes(tree), tree.seed)
-    return report
+    return _finish(best.state, started, count_terminal_nodes(tree))
 
 
 def mcts_decode(
@@ -307,8 +286,6 @@ def majority_vote(
         else:
             groups.append({"answer": answer, "count": 1, "first": index})
     if not groups:
-        return _finish(finals[0], started, k, seed)
+        return _finish(finals[0], started, k)
     winner = max(groups, key=lambda g: (g["count"], -g["first"]))
-    state = finals[winner["first"]]
-    report = _finish(state, started, k, seed)
-    return report
+    return _finish(finals[winner["first"]], started, k)

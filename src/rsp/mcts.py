@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,10 +23,11 @@ from .core import (
     Reward,
     Step,
     StepKind,
-    answers_equivalent,
     apply_step,
-    extract_answer_text,
+    as_answer,
+    is_correct,
     is_terminal,
+    log_prior,
     normalize_answer,
 )
 from .policy import PolicyValueBackend, ProposalRequest
@@ -116,13 +118,6 @@ class SearchTree:
     rng: random.Random = field(default_factory=random.Random, repr=False)
 
 
-def prior_from_logprob(mean_log_prob: float) -> float:
-    """exp(mean per-token log-prob); log-probs must be <= 0."""
-    if mean_log_prob > 0:
-        raise ContractViolation("mean log-prob must be <= 0")
-    return math.exp(mean_log_prob)
-
-
 def puct_score(
     child: NodeStats, parent_visits: int, c_puct: float, q_init: float = 0.0
 ) -> float:
@@ -182,15 +177,14 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
         if step.kind is StepKind.ANSWER:
             terminal = True
             if tree.gold_answer is not None:
-                predicted = normalize_answer(step.extracted_answer or "")
-                correct = answers_equivalent(predicted, tree.gold_answer)
+                correct = is_correct(step.extracted_answer, tree.gold_answer)
                 reward = Reward(1.0 if correct else -1.0)
         elif child_state.depth >= cfg.max_depth:
             terminal = True
             reward = Reward(-1.0)
         child = SearchNode(
             state=child_state,
-            stats=NodeStats(prior=prior_from_logprob(step.mean_log_prob)),
+            stats=NodeStats(prior=step.prior),
             step=step,
             depth=child_state.depth,
             terminal=terminal,
@@ -275,13 +269,7 @@ def build_tree(
     config = config or SearchConfig()
     if is_terminal(question, config.max_depth):
         raise ContractViolation("cannot search from a terminal state")
-    gold: Answer | None
-    if gold_answer is None:
-        gold = None
-    elif isinstance(gold_answer, Answer):
-        gold = gold_answer
-    else:
-        gold = normalize_answer(gold_answer)
+    gold = None if gold_answer is None else as_answer(gold_answer)
     if config.evaluation is EvaluationMode.TERMINAL_REWARD and gold is None:
         raise ContractViolation("training-mode search requires a gold answer")
     root = SearchNode(
@@ -320,7 +308,7 @@ def mc_rollout_estimate(
     """
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
-    gold = gold_answer if isinstance(gold_answer, Answer) else normalize_answer(gold_answer)
+    gold = as_answer(gold_answer)
     rng = random.Random(seed)
     total = 0.0
     for _ in range(n_rollouts):
@@ -328,11 +316,10 @@ def mc_rollout_estimate(
         reward: float | None = None
         while reward is None:
             if is_terminal(current, max_depth):
-                if current.has_answer:
-                    predicted = normalize_answer(current.steps[-1].extracted_answer or "")
-                    reward = 1.0 if answers_equivalent(predicted, gold) else -1.0
-                else:
-                    reward = -1.0
+                correct = current.has_answer and is_correct(
+                    current.steps[-1].extracted_answer, gold
+                )
+                reward = 1.0 if correct else -1.0
                 break
             request = ProposalRequest(
                 state=current,
@@ -349,6 +336,16 @@ def mc_rollout_estimate(
     return total / n_rollouts
 
 
+def iter_nodes(root: SearchNode) -> Iterator[SearchNode]:
+    """Every node of the subtree under ``root``, ``root`` first (depth first,
+    last child first)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        yield node
+
+
 def q_targets(tree: SearchTree) -> dict[SearchNode, float]:
     """Per-node value-regression targets.
 
@@ -357,11 +354,8 @@ def q_targets(tree: SearchTree) -> dict[SearchNode, float]:
     nodes (and terminal nodes without a recorded reward) are excluded.
     """
     targets: dict[SearchNode, float] = {}
-    stack = list(tree.root.children)
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        if node.stats.visits == 0:
+    for node in iter_nodes(tree.root):
+        if node is tree.root or node.stats.visits == 0:
             continue
         if node.terminal:
             if node.reward is not None:
@@ -418,23 +412,6 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
     }
 
 
-def _step_from_snapshot(kind: str, text: str, prior: float) -> Step:
-    mean_log_prob = math.log(prior) if prior < 1.0 else 0.0
-    if kind == "a":
-        return Step(
-            kind=StepKind.ANSWER,
-            text=text,
-            mean_log_prob=mean_log_prob,
-            extracted_answer=extract_answer_text(text).normalized,
-        )
-    return Step(
-        kind=StepKind.CODE,
-        text=text,
-        mean_log_prob=mean_log_prob,
-        contains_code="<code>" in text,
-    )
-
-
 def snapshot_to_tree(doc: dict) -> SearchTree:
     """Rebuild a SearchTree from a snapshot document.
 
@@ -471,8 +448,10 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
             else:
                 if parent is None:
                     raise SnapshotError("non-root node without a parent")
-                step = _step_from_snapshot(
-                    entry["step_kind"], entry["step_text"], entry["prior"]
+                step = Step.from_text(
+                    entry["step_text"],
+                    log_prior(entry["prior"]),
+                    StepKind(entry["step_kind"]),
                 )
                 state = ReasoningState(
                     question_id=question.question_id,

@@ -23,8 +23,6 @@ from .core import (
     ReasoningState,
     Step,
     StepKind,
-    extract_answer_text,
-    is_terminal,
     normalize_answer,
 )
 
@@ -34,9 +32,9 @@ WIRE_VERSION = "1"
 VERSION_HEADER = "x-rsp-version"
 BACKEND_URL_ENV = "RSP_BACKEND_URL"
 
-# Positive temperature this small requests the deterministic (mode-seeking)
-# proposal ordering from a backend.
-DETERMINISTIC_TEMPERATURE = 1e-9
+# A positive temperature at or below this requests the deterministic
+# (mode-seeking) proposal ordering from a backend.
+DETERMINISTIC_TEMPERATURE = 1e-6
 
 
 class TransportError(EngineError):
@@ -105,22 +103,23 @@ def dedupe_proposals(proposals: list[Proposal]) -> list[Proposal]:
 
 
 def _step_from_wire(payload: dict) -> Step:
-    kind = payload.get("kind")
-    if kind not in ("c", "a"):
-        raise TransportError(f"unknown proposal kind: {kind!r}")
+    try:
+        kind = StepKind(payload.get("kind"))
+    except ValueError:
+        raise TransportError(f"unknown proposal kind: {payload.get('kind')!r}") from None
     text = payload.get("text")
     if not isinstance(text, str):
         raise TransportError("proposal text missing or not a string")
     extracted = None
-    if kind == "a":
+    if kind is StepKind.ANSWER:
         answer = payload.get("answer")
         if isinstance(answer, str):
             extracted = normalize_answer(answer).normalized
         else:
             # Fall back to parsing the rendered text; raises on malformed steps.
-            extracted = extract_answer_text(text).normalized
+            extracted = Step.from_text(text, kind=kind).extracted_answer
     return Step(
-        kind=StepKind.CODE if kind == "c" else StepKind.ANSWER,
+        kind=kind,
         text=text,
         mean_log_prob=float(payload.get("mean_log_prob", 0.0)),
         contains_code=bool(payload.get("contains_code", False)),
@@ -198,7 +197,7 @@ class RemoteBackend(PolicyValueBackend):
         raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error
 
     def propose_steps(self, request: ProposalRequest) -> list[Proposal]:
-        if is_terminal(request.state):
+        if request.state.has_answer:
             raise ContractViolation("cannot propose steps for a terminal state")
         proposals: list[Proposal] = []
         attempts = 0

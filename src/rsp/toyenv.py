@@ -29,19 +29,17 @@ from .core import (
     ReasoningState,
     Step,
     StepKind,
-    answers_equivalent,
-    extract_answer_text,
+    is_correct,
+    log_prior,
     normalize_answer,
 )
 from .policy import (
+    DETERMINISTIC_TEMPERATURE,
     PolicyValueBackend,
     Proposal,
     ProposalRequest,
     ValuePrediction,
 )
-
-# Below this, temperature is treated as the deterministic (mode-seeking) limit.
-_DETERMINISTIC_TEMPERATURE_CUTOFF = 1e-6
 
 _ERROR_OUTPUT = "NameError: name 'value' is not defined"
 
@@ -81,8 +79,6 @@ class ToyProblem:
     gold_answer: str
     start_value: int
     horizon: int
-    branching: int
-    operand_pool: tuple[int, ...]
     greedy_trap: bool
 
     def __init__(self) -> None:
@@ -100,7 +96,7 @@ class ToyProblem:
         step = self._step_cache.get(key)
         if step is not None:
             return step
-        log_prob = math.log(action.prob) if action.prob < 1.0 else 0.0
+        log_prob = log_prior(action.prob)
         if action.kind is ActionKind.ANSWER:
             step = Step.answer_step(
                 analysis=f"The value is now {action.value_before}.",
@@ -149,14 +145,9 @@ class OpChainProblem(ToyProblem):
         self.rest_ops = rest_ops  # (label, delta, errored)
         self.greedy_trap = greedy_trap
         self.horizon = 1 + len(rest_ops)
-        # trap subtrees offer the remaining ops plus an early answer action
-        self.branching = max(len(root_ops), len(rest_ops) + 1, 1)
         golden_delta = next(d for l, d, _, _ in root_ops if l == golden_label)
         self.target = start_value + golden_delta + sum(d for _, d, _ in rest_ops)
         self.gold_answer = str(self.target)
-        self.operand_pool = tuple(
-            sorted({d for _, d, _, _ in root_ops} | {d for _, d, _ in rest_ops})
-        )
         ops_desc = ", ".join(f"{l}" for l, _, _ in rest_ops)
         self.question_text = (
             f'<question id="{self.id}">\n'
@@ -253,8 +244,6 @@ class TableProblem(ToyProblem):
         self.start_value = start_value
         self.greedy_trap = False
         self.horizon = max((len(h) for h in table), default=0) + 1
-        self.branching = max((len(a) for a in table.values()), default=1)
-        self.operand_pool = ()
         self.question_text = question_text or (
             f'<question id="{self.id}">\nReach the value {gold_answer}.\n</question>\n'
         )
@@ -276,8 +265,7 @@ def toy_true_value(problem: ToyProblem, history: tuple[str, ...] = ()) -> float:
     total = 0.0
     for action in problem.actions_at(history):
         if action.kind is ActionKind.ANSWER:
-            predicted = normalize_answer(action.answer_text or "")
-            outcome = 1.0 if answers_equivalent(predicted, gold) else -1.0
+            outcome = 1.0 if is_correct(action.answer_text, gold) else -1.0
         else:
             outcome = toy_true_value(problem, history + (action.label,))
         total += action.prob * outcome
@@ -439,19 +427,13 @@ class ToyBackend(PolicyValueBackend):
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         if self.mode is Mode.COLD:
             return ValuePrediction(value=0.0)
-        problem, history, answered = self.decode_state(state)
-        if answered is not None:
-            gold = normalize_answer(problem.gold_answer)
-            correct = answers_equivalent(normalize_answer(answered), gold)
-            return ValuePrediction(value=1.0 if correct else -1.0)
-        return ValuePrediction(value=toy_true_value(problem, history))
+        return ValuePrediction(value=self.true_value(state))
 
     def true_value(self, state: ReasoningState) -> float:
         """Exact expected reward of a state, independent of ``mode``."""
         problem, history, answered = self.decode_state(state)
         if answered is not None:
-            gold = normalize_answer(problem.gold_answer)
-            return 1.0 if answers_equivalent(normalize_answer(answered), gold) else -1.0
+            return 1.0 if is_correct(answered, problem.gold_answer) else -1.0
         return toy_true_value(problem, history)
 
 
@@ -459,7 +441,7 @@ def _sample_actions(
     actions: list[ToyAction], n: int, temperature: float, seed: int | None
 ) -> list[ToyAction]:
     n = min(n, len(actions))
-    if temperature < _DETERMINISTIC_TEMPERATURE_CUTOFF:
+    if temperature <= DETERMINISTIC_TEMPERATURE:
         ranked = sorted(
             range(len(actions)), key=lambda i: (-actions[i].prob, i)
         )
@@ -500,30 +482,10 @@ def toy_state_decoder(backend: ToyBackend):
         if not m:
             raise ContractViolation("rendered state lacks a question id")
         problem = backend.problem_for(m.group(1))
-        steps = []
-        for block in _STEP_BLOCK_RE.findall(rendered):
-            if "Final Answer:" in block:
-                steps.append(
-                    Step(
-                        kind=StepKind.ANSWER,
-                        text=block,
-                        mean_log_prob=0.0,
-                        extracted_answer=extract_answer_text(block).normalized,
-                    )
-                )
-            else:
-                steps.append(
-                    Step(
-                        kind=StepKind.CODE,
-                        text=block,
-                        mean_log_prob=0.0,
-                        contains_code="<code>" in block,
-                    )
-                )
         return ReasoningState(
             question_id=problem.id,
             question_text=problem.question_text,
-            steps=tuple(steps),
+            steps=tuple(Step.from_text(b) for b in _STEP_BLOCK_RE.findall(rendered)),
         )
 
     return decode

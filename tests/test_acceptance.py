@@ -47,7 +47,6 @@ from rsp.mcts import (
     build_tree,
     evaluate,
     mc_rollout_estimate,
-    prior_from_logprob,
     puct_score,
     run_simulation,
     snapshot_to_tree,
@@ -884,11 +883,11 @@ def test_criterion_08_generation_reruns_are_byte_identical(generate_rounds):
 def test_criterion_09_scoring_primitives_reference_values():
     with criterion(9):
         tol = 1e-6
-        assert abs(prior_from_logprob(0.0) - 1.0) <= tol
-        assert abs(prior_from_logprob(-1.0) - 0.367879) <= tol
-        assert abs(prior_from_logprob(-2.0) - 0.135335) <= tol
+        assert abs(code_step(mean_log_prob=0.0).prior - 1.0) <= tol
+        assert abs(code_step(mean_log_prob=-1.0).prior - 0.367879) <= tol
+        assert abs(code_step(mean_log_prob=-2.0).prior - 0.135335) <= tol
         with pytest.raises(ContractViolation):
-            prior_from_logprob(0.1)
+            code_step(mean_log_prob=0.1)
 
         visited = NodeStats(prior=0.2, visits=1, total_value=0.5)
         assert abs(puct_score(visited, parent_visits=4, c_puct=1.25) - 0.75) <= tol

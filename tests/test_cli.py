@@ -113,9 +113,12 @@ def test_dataset_rows_need_id_and_question(tmp_path, capsys):
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     dataset = toy_dataset(tmp_path, n=1)
     config = tmp_path / "cfg.json"
-    config.write_text('{"beem_width": 3}', encoding="utf-8")
-    assert main(["solve", dataset, "--config", str(config)]) == EXIT_CONFIG
-    assert "beem_width" in capsys.readouterr().err
+    # "beta" was once accepted but never read
+    for command, key in [("solve", "beem_width"), ("generate", "beta")]:
+        config.write_text(f'{{"{key}": 3}}', encoding="utf-8")
+        out = ["--out", str(tmp_path / "out.jsonl")] if command == "generate" else []
+        assert main([command, dataset, "--config", str(config), *out]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 def test_flags_override_the_config_file(tmp_path):

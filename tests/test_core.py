@@ -4,6 +4,7 @@ import pytest
 
 from conftest import answer_step, code_step, make_state
 from rsp.core import (
+    Answer,
     ContractViolation,
     MalformedStepError,
     Reward,
@@ -13,7 +14,9 @@ from rsp.core import (
     apply_step,
     derive_seed,
     extract_answer,
+    is_correct,
     is_terminal,
+    log_prior,
     normalize_answer,
     render_answer_step,
     render_code_step,
@@ -139,6 +142,47 @@ def test_prior_in_unit_interval():
         mlp = -rng.random() * 20
         p = code_step(mean_log_prob=mlp).prior
         assert 0.0 < p <= 1.0
+
+
+def test_step_prior_reference_points():
+    assert code_step(mean_log_prob=0.0).prior == pytest.approx(1.0, abs=1e-6)
+    assert code_step(mean_log_prob=-1.0).prior == pytest.approx(0.367879, abs=1e-6)
+    assert code_step(mean_log_prob=-2.0).prior == pytest.approx(0.135335, abs=1e-6)
+    with pytest.raises(ContractViolation):
+        code_step(mean_log_prob=0.1)
+
+
+def test_log_prior_inverts_step_prior():
+    assert log_prior(1.0) == 0.0
+    for prior in (0.9, 0.25, 1e-9):
+        assert code_step(mean_log_prob=log_prior(prior)).prior == pytest.approx(prior)
+
+
+def test_step_from_text_reads_kind_code_flag_and_answer():
+    code = code_step(output="7", errored=True, mean_log_prob=-0.3)
+    assert Step.from_text(code.text, -0.3) == Step(
+        kind=StepKind.CODE, text=code.text, mean_log_prob=-0.3, contains_code=True
+    )
+    answer = answer_step("$3/6$")
+    assert Step.from_text(answer.text, answer.mean_log_prob) == answer
+    prose = "<step>\n<p>\nthinking\n</p>\n</step>"
+    assert Step.from_text(prose) == Step(kind=StepKind.CODE, text=prose, mean_log_prob=0.0)
+    # an explicit kind wins over the marker test
+    assert Step.from_text(answer.text, kind=StepKind.ANSWER) == Step.from_text(answer.text)
+    with pytest.raises(MalformedStepError):
+        Step.from_text(prose, kind=StepKind.ANSWER)
+    with pytest.raises(ContractViolation):
+        Step.from_text("no tags")
+
+
+def test_is_correct_normalizes_raw_strings_only():
+    assert is_correct("$50$", "50")
+    assert is_correct(normalize_answer("0.5"), "1/2")
+    assert is_correct("[-4, 0)", normalize_answer("[-4,0)"))
+    assert not is_correct("[-4, 0]", "[-4, 0)")
+    assert not is_correct(None, "50")
+    # an Answer is taken as it is, not normalized again
+    assert not is_correct(Answer(raw="X", normalized="X"), "x")
 
 
 def test_reward_values():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, apply_step, normalize_answer
+from rsp.core import ContractViolation, apply_step, extract_answer, normalize_answer
 from rsp.inference import (
     count_terminal_nodes,
     decode_tree,
@@ -95,7 +95,7 @@ def test_sbs_decode_returns_the_top_candidate():
     assert report.steps_taken == 2
     assert report.candidates_returned <= 2
     assert report.elapsed_seconds >= 0.0
-    assert report.path.predicted_answer == report.answer
+    assert extract_answer(report.path.steps[-1]) == report.answer
 
 
 def test_sbs_finished_candidates_freeze_and_carry_forward():
@@ -341,7 +341,7 @@ def test_majority_vote_with_no_answers_reports_failure():
     backend = PathQueueBackend([[], [], []])
     report = majority_vote(make_state(), backend, k=3)
     assert report.answer is None
-    assert report.path.predicted_answer is None
+    assert not report.path.has_answer
 
 
 def test_majority_vote_k_one_and_guard():

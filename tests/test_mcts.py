@@ -8,6 +8,7 @@ import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
 from rsp.core import ContractViolation, Reward, apply_step
+from rsp.inference import inference_search_config, q_sweep
 from rsp.mcts import (
     EvaluationMode,
     NodeStats,
@@ -20,7 +21,6 @@ from rsp.mcts import (
     evaluate,
     expand,
     mc_rollout_estimate,
-    prior_from_logprob,
     puct_score,
     q_targets,
     run_simulation,
@@ -63,14 +63,6 @@ def single_answer_problem(gold="7", correct=True):
         answer_text=text,
     )
     return TableProblem("tbl-1", gold, {(): [action]})
-
-
-def test_prior_from_logprob_reference_points():
-    assert prior_from_logprob(0.0) == pytest.approx(1.0, abs=1e-6)
-    assert prior_from_logprob(-1.0) == pytest.approx(0.367879, abs=1e-6)
-    assert prior_from_logprob(-2.0) == pytest.approx(0.135335, abs=1e-6)
-    with pytest.raises(ContractViolation):
-        prior_from_logprob(0.1)
 
 
 def test_puct_score_reference_point():
@@ -432,6 +424,33 @@ def test_snapshot_round_trip_preserves_ranking_state():
     assert tree_to_snapshot(rebuilt) == doc
     assert rebuilt.simulations_run == tree.simulations_run
     assert rebuilt.gold_answer == tree.gold_answer
+
+
+def _sweep_trace(tree, beam_width):
+    q_init = tree.config.q_init
+    best, levels = q_sweep(tree.root, beam_width, q_init)
+
+    def key(node):
+        return node.state.render(), node.stats.q(q_init)
+
+    return key(best), [[key(n) for n in level] for level in levels]
+
+
+@pytest.mark.parametrize(
+    "config", [SearchConfig(), inference_search_config()], ids=["training", "inference"]
+)
+def test_loaded_snapshot_sweeps_like_the_built_tree(config):
+    # dump -> JSON -> load must keep everything q_sweep ranks by: child
+    # order, visits, totals and terminal flags, at every beam width
+    training = config.evaluation is EvaluationMode.TERMINAL_REWARD
+    for problem in toy_corpus(6, seed=2):
+        backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+        gold = problem.gold_answer if training else None
+        for seed in (0, 1):
+            tree = build_tree(problem.root_state(), gold, backend, config, seed=seed)
+            loaded = snapshot_to_tree(json.loads(json.dumps(tree_to_snapshot(tree))))
+            for beam_width in (1, 2, 3):
+                assert _sweep_trace(loaded, beam_width) == _sweep_trace(tree, beam_width)
 
 
 def test_snapshot_rejects_other_schema_versions():

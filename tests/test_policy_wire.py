@@ -1,12 +1,13 @@
 """Wire-protocol client/server tests using stub HTTP servers."""
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from rsp.core import normalize_answer, answers_equivalent
+from rsp.core import STEP_OPEN, Step, normalize_answer, answers_equivalent
 from rsp.inference import sbs_decode
 from rsp.policy import (
     ProposalRequest,
@@ -18,7 +19,7 @@ from rsp.policy import (
     serve_backend,
 )
 from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_state_decoder
-from conftest import code_step
+from conftest import ScriptedBackend, answer_step, code_step, make_state
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -222,3 +223,33 @@ def test_propose_on_terminal_state_is_contract_violation():
         backend.propose_steps(
             ProposalRequest(state=answered, n_samples=1, temperature=1.0, seed=0)
         )
+
+
+def test_remote_search_runs_past_the_default_depth_budget():
+    # an 11-step chain then an answer: deeper than the default budget of 8,
+    # within the caller's budget of 12
+    question = make_state()
+    chain = [code_step(analysis=f"step {i}") for i in range(11)] + [answer_step("11")]
+    proposals, state = {}, question
+    for step in chain:
+        proposals[state.render()] = [step]
+        state = make_state(steps=state.steps + (step,))
+    scripted = ScriptedBackend(proposals)
+
+    def decode(rendered):
+        blocks = re.findall(r"<step>.*?</step>", rendered, re.S)
+        return make_state(
+            question_text=rendered.partition(STEP_OPEN)[0],
+            steps=tuple(Step.from_text(block) for block in blocks),
+        )
+
+    server = serve_backend(scripted, decode)
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        over_wire = sbs_decode(question, remote, expansion_width=1, max_depth=12)
+    finally:
+        server.shutdown()
+    in_process = sbs_decode(question, scripted, expansion_width=1, max_depth=12)
+    assert over_wire.answer is not None and over_wire.answer.normalized == "11"
+    assert over_wire.steps_taken == in_process.steps_taken == 12
+    assert over_wire.path.render() == in_process.path.render()

@@ -2,10 +2,11 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from rsp.core import ContractViolation, apply_step, normalize_answer
+from rsp.core import ContractViolation, Step, apply_step, normalize_answer
 from rsp.policy import DETERMINISTIC_TEMPERATURE, ProposalRequest
 from rsp.toyenv import (
     ActionKind,
@@ -120,6 +121,24 @@ def test_action_probabilities_sum_to_one_everywhere():
             for action in actions:
                 if action.kind is ActionKind.OP and len(history) < problem.horizon:
                     stack.append(history + (action.label,))
+
+
+def test_step_text_codec_recovers_every_toy_step():
+    # the codec rebuilds everything a step's text carries; execution
+    # metadata (code output, error flag) is not in the text
+    checked = 0
+    for problem in toy_corpus(20, 0):
+        stack = [()]
+        while stack:
+            history = stack.pop()
+            for action in problem.actions_at(history):
+                step = problem.step_for(action)
+                expected = replace(step, code_output=None, code_errored=False)
+                assert Step.from_text(step.text, step.mean_log_prob) == expected
+                checked += 1
+                if action.kind is ActionKind.OP:
+                    stack.append(history + (action.label,))
+    assert checked > 100
 
 
 def test_golden_path_reaches_the_gold_answer():
