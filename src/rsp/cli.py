@@ -222,7 +222,40 @@ def _strategy_temperature(settings: dict) -> float:
     return 0.6 if settings["strategy"] == "mcts" else 1.0
 
 
-def _solve_one(settings: dict, backend, index: int, row: dict, dump_dir: Path | None) -> dict:
+def _solve_search_config(settings: dict) -> SearchConfig:
+    """The decode-time tree settings, built (and so checked) before any
+    question runs; b2, t_max and the temperature also drive beam search."""
+    for key in ("b1", "k"):
+        if settings[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    return inference_search_config(
+        c_puct=settings["c_puct"],
+        n_simulations=settings["n_simulations"],
+        expansion_width=settings["b2"],
+        max_depth=settings["t_max"],
+        temperature=_strategy_temperature(settings),
+    )
+
+
+def _dump_name(question_id) -> str:
+    """Snapshot file name for a question; ids that could name another
+    directory are a dataset error."""
+    text = str(question_id)
+    if any(c in text for c in "/\\\0"):
+        raise DatasetError(
+            f"question id {question_id!r} cannot name a tree snapshot file"
+        )
+    return f"{text}.tree.json"
+
+
+def _solve_one(
+    settings: dict,
+    search: SearchConfig,
+    backend,
+    index: int,
+    row: dict,
+    dump_dir: Path | None,
+) -> dict:
     state = ReasoningState(question_id=row["id"], question_text=row["question"])
     question_seed = derive_seed(settings["seed"], index)
     strategy = settings["strategy"]
@@ -259,18 +292,11 @@ def _solve_one(settings: dict, backend, index: int, row: dict, dump_dir: Path | 
                 seed=question_seed,
             )
         elif strategy == "mcts":
-            config = inference_search_config(
-                c_puct=settings["c_puct"],
-                n_simulations=settings["n_simulations"],
-                expansion_width=settings["b2"],
-                max_depth=settings["t_max"],
-                temperature=_strategy_temperature(settings),
-            )
             started = time.perf_counter()
-            tree = build_tree(state, None, backend, config, question_seed)
+            tree = build_tree(state, None, backend, search, question_seed)
             if dump_dir is not None:
                 snapshot = tree_to_snapshot(tree)
-                (dump_dir / f"{row['id']}.tree.json").write_text(
+                (dump_dir / _dump_name(row["id"])).write_text(
                     json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
                 )
             report = decode_tree(tree, beam_width=settings["b1"], started=started)
@@ -293,18 +319,21 @@ def _solve_one(settings: dict, backend, index: int, row: dict, dump_dir: Path | 
 
 
 def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: str | None) -> dict:
+    search = _solve_search_config(settings)
     rows = _load_dataset(dataset_path, require_gold=False)
     backend = _make_backend(settings, default_toy_mode=Mode.ORACLE)
     dump_dir = None
     if dump_trees:
         if settings["strategy"] != "mcts":
             raise ConfigError("--dump-trees requires --strategy mcts")
+        for row in rows:
+            _dump_name(row["id"])
         dump_dir = Path(dump_trees)
         dump_dir.mkdir(parents=True, exist_ok=True)
 
     def work(item: tuple[int, dict]) -> dict:
         index, row = item
-        return _solve_one(settings, backend, index, row, dump_dir)
+        return _solve_one(settings, search, backend, index, row, dump_dir)
 
     jobs = max(1, settings["jobs"])
     if jobs == 1:

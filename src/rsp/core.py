@@ -205,11 +205,13 @@ _INTERVAL_RE = re.compile(
 )
 
 
-def _strip_math_delimiters(text: str) -> str:
+def _strip_wrappers(text: str) -> str:
+    """Strip surrounding whitespace, TeX math delimiters and trailing
+    periods, in any nesting, until none is left."""
     prev = None
     while prev != text:
         prev = text
-        text = text.strip()
+        text = text.strip().rstrip(".").strip()
         if len(text) >= 4 and text.startswith("\\(") and text.endswith("\\)"):
             text = text[2:-2]
             continue
@@ -238,9 +240,7 @@ def normalize_answer(raw: str) -> Answer:
     a numeric form when one exists. Idempotent: normalizing the normalized
     text yields the same result.
     """
-    text = _strip_math_delimiters(raw)
-    text = text.rstrip(".").strip()
-    text = text.lower()
+    text = _strip_wrappers(raw).lower()
     interval = _INTERVAL_RE.match(text)
     if interval:
         left, lo, hi, right = interval.groups()

@@ -134,12 +134,20 @@ def select(tree: SearchTree) -> list[SearchNode]:
     """
     node = tree.root
     path = [node]
-    cfg = tree.config
+    c_puct, q_init = tree.config.c_puct, tree.config.q_init
     while node.children:
-        node = max(
-            node.children,
-            key=lambda c: puct_score(c.stats, node.stats.visits, cfg.c_puct, cfg.q_init),
-        )
+        # puct_score inlined, with its operation order, so scores match it
+        # bit for bit; strict ">" keeps the earliest of equal scores.
+        sqrt_n = math.sqrt(node.stats.visits)
+        best, best_score = None, -math.inf
+        for child in node.children:
+            stats = child.stats
+            visits = stats.visits
+            q = stats.total_value / visits if visits else q_init
+            score = q + c_puct * stats.prior * sqrt_n / (1 + visits)
+            if best is None or score > best_score:
+                best, best_score = child, score
+        node = best
         path.append(node)
     return path
 
@@ -309,6 +317,7 @@ def mc_rollout_estimate(
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
     gold = as_answer(gold_answer)
+    graded: dict[str, bool] = {}  # extracted answer -> correct
     rng = random.Random(seed)
     total = 0.0
     for _ in range(n_rollouts):
@@ -316,9 +325,12 @@ def mc_rollout_estimate(
         reward: float | None = None
         while reward is None:
             if is_terminal(current, max_depth):
-                correct = current.has_answer and is_correct(
-                    current.steps[-1].extracted_answer, gold
-                )
+                correct = False
+                if current.has_answer:
+                    answer = current.steps[-1].extracted_answer
+                    correct = graded.get(answer)
+                    if correct is None:
+                        correct = graded[answer] = is_correct(answer, gold)
                 reward = 1.0 if correct else -1.0
                 break
             request = ProposalRequest(

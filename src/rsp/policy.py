@@ -262,30 +262,39 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
+        if self.path not in ("/propose", "/value"):
+            self._reply(404, {"error": f"unknown path {self.path}"})
+            return
+        # A request that cannot be parsed, or that the backend rejects by
+        # contract, fails the same way on every attempt: answer 4xx so the
+        # client does not retry it. Only unexpected failures are 500s.
         try:
             body = self._read_body()
-            decode = type(self).state_decoder
+            state = type(self).state_decoder(body["state"])
             if self.path == "/propose":
-                state = decode(body["state"])
                 request = ProposalRequest(
                     state=state,
                     n_samples=int(body["n_samples"]),
                     temperature=float(body["temperature"]),
                     seed=body.get("seed"),
                 )
+        except (ValueError, KeyError, TypeError, EngineError) as exc:
+            self._reply(400, {"error": f"bad request: {exc}"})
+            return
+        try:
+            if self.path == "/propose":
                 proposals = type(self).backend.propose_steps(request)
-                self._reply(
-                    200,
-                    {"proposals": [_step_to_wire(p.step) for p in proposals]},
-                )
-            elif self.path == "/value":
-                state = decode(body["state"])
-                prediction = type(self).backend.predict_value(state)
-                self._reply(200, {"value": prediction.value})
+                payload = {"proposals": [_step_to_wire(p.step) for p in proposals]}
             else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-        except Exception as exc:  # surface as a server error for the client
+                payload = {"value": type(self).backend.predict_value(state).value}
+        except EngineError as exc:
+            self._reply(400, {"error": str(exc)})
+            return
+        except Exception as exc:  # a server fault: the client may retry
+            logger.exception("wire server: %s failed", self.path)
             self._reply(500, {"error": str(exc)})
+            return
+        self._reply(200, payload)
 
 
 def serve_backend(backend: PolicyValueBackend, state_decoder, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

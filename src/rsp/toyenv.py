@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,7 +72,8 @@ class ToyProblem:
 
     Subclasses implement ``actions_at(history)`` where ``history`` is the
     tuple of operation labels applied so far. Probabilities at each state
-    sum to 1 and every reachable terminal states an answer.
+    sum to 1 and every reachable terminal states an answer. The returned
+    list may be shared between callers, who must not mutate it.
     """
 
     id: str
@@ -84,9 +86,20 @@ class ToyProblem:
     def __init__(self) -> None:
         self._step_cache: dict[tuple[str, int, float], Step] = {}
         self._value_memo: dict[tuple[str, ...], float] = {}
+        self._sampler_memo: dict[tuple[tuple[str, ...], float], _Sampler] = {}
 
     def actions_at(self, history: tuple[str, ...]) -> list[ToyAction]:
         raise NotImplementedError
+
+    def sampler(self, history: tuple[str, ...], temperature: float) -> "_Sampler":
+        """Proposal sampler over ``actions_at(history)`` at ``temperature``;
+        memoized because rollouts revisit states."""
+        key = (history, temperature)
+        sampler = self._sampler_memo.get(key)
+        if sampler is None:
+            sampler = _Sampler(self.actions_at(history), temperature)
+            self._sampler_memo[key] = sampler
+        return sampler
 
     def step_for(self, action: ToyAction) -> Step:
         """Rendered step for an action; cached because rollouts revisit states."""
@@ -138,6 +151,7 @@ class OpChainProblem(ToyProblem):
         greedy_trap: bool,
     ) -> None:
         super().__init__()
+        self._actions_memo: dict[tuple[str, ...], list[ToyAction]] = {}
         self.id = problem_id
         self.start_value = start_value
         self.root_ops = root_ops  # (label, delta, prob, errored)
@@ -158,6 +172,12 @@ class OpChainProblem(ToyProblem):
         )
 
     def actions_at(self, history: tuple[str, ...]) -> list[ToyAction]:
+        actions = self._actions_memo.get(history)
+        if actions is None:
+            actions = self._actions_memo[history] = self._build_actions(history)
+        return actions
+
+    def _build_actions(self, history: tuple[str, ...]) -> list[ToyAction]:
         value = self.start_value
         if not history:
             return [
@@ -382,11 +402,19 @@ class ToyBackend(PolicyValueBackend):
     table (p ** (1/t), renormalized) and samples without replacement, so a
     request for n >= branching distinct steps returns every legal move.
     Referentially transparent given (state, seed). Safe for concurrent use:
-    all caches are per-problem dictionaries with idempotent values.
+    every cache (the problem map, each problem's action lists, samplers,
+    rendered steps and exact values, and the step-text-to-label memo) is a
+    dictionary whose entries are computed from their key alone and never
+    mutated after insertion, so racing threads at worst compute an entry
+    twice and store equal values.
     """
 
     problems: dict[str, ToyProblem] = field(default_factory=dict)
     mode: Mode = Mode.COLD
+    # step text -> operation label, for code steps seen by decode_state
+    _labels: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def for_corpus(cls, corpus: list[ToyProblem], mode: Mode = Mode.COLD) -> "ToyBackend":
@@ -402,25 +430,28 @@ class ToyBackend(PolicyValueBackend):
     def decode_state(self, state: ReasoningState) -> tuple[ToyProblem, tuple[str, ...], str | None]:
         """Map a state to (problem, op-label history, answer or None)."""
         problem = self.problem_for(state.question_id)
+        known = self._labels
         labels: list[str] = []
         answered: str | None = None
         for step in state.steps:
             if step.kind is StepKind.ANSWER:
                 answered = step.extracted_answer
-            else:
+                continue
+            label = known.get(step.text)
+            if label is None:
                 m = _OP_LABEL_RE.search(step.text)
                 if not m:
                     raise ContractViolation("step text does not name an operation")
-                labels.append(m.group(1))
+                label = known[step.text] = m.group(1)
+            labels.append(label)
         return problem, tuple(labels), answered
 
     def propose_steps(self, request: ProposalRequest) -> list[Proposal]:
         problem, history, answered = self.decode_state(request.state)
         if answered is not None:
             raise ContractViolation("cannot propose steps for an answered state")
-        actions = problem.actions_at(history)
-        chosen = _sample_actions(
-            actions, request.n_samples, request.temperature, request.seed
+        chosen = problem.sampler(history, request.temperature).sample(
+            request.n_samples, request.seed
         )
         return [Proposal(step=problem.step_for(action)) for action in chosen]
 
@@ -437,35 +468,62 @@ class ToyBackend(PolicyValueBackend):
         return toy_true_value(problem, history)
 
 
-def _sample_actions(
-    actions: list[ToyAction], n: int, temperature: float, seed: int | None
-) -> list[ToyAction]:
-    n = min(n, len(actions))
-    if temperature <= DETERMINISTIC_TEMPERATURE:
-        ranked = sorted(
-            range(len(actions)), key=lambda i: (-actions[i].prob, i)
-        )
-        return [actions[i] for i in ranked[:n]]
-    # Temperature-adjusted weights computed in log space for small t.
-    logs = [math.log(a.prob) / temperature for a in actions]
-    peak = max(logs)
-    weights = [math.exp(l - peak) for l in logs]
-    rng = random.Random(seed) if seed is not None else random.Random()
-    picked: list[ToyAction] = []
-    alive = list(range(len(actions)))
-    for _ in range(n):
-        total = sum(weights[i] for i in alive)
-        mark = rng.random() * total
+class _Sampler:
+    """Draws up to n distinct actions from one action table at one
+    temperature, without replacement.
+
+    The weights, their total and their running sums are computed once; every
+    draw consumes the same ``random.Random(seed)`` values and does the same
+    float arithmetic as sampling from scratch, so the picks depend only on
+    (actions, temperature, n, seed).
+    """
+
+    def __init__(self, actions: list[ToyAction], temperature: float) -> None:
+        self.actions = actions
+        self.deterministic = temperature <= DETERMINISTIC_TEMPERATURE
+        if self.deterministic:
+            ranked = sorted(range(len(actions)), key=lambda i: (-actions[i].prob, i))
+            self.ranked = [actions[i] for i in ranked]
+            return
+        # Temperature-adjusted weights computed in log space for small t.
+        logs = [math.log(a.prob) / temperature for a in actions]
+        peak = max(logs)
+        self.weights = [math.exp(l - peak) for l in logs]
+        self.total = sum(self.weights)
+        self.cumulative: list[float] = []
         acc = 0.0
-        chosen = alive[-1]
-        for i in alive:
-            acc += weights[i]
-            if mark < acc:
-                chosen = i
-                break
-        picked.append(actions[chosen])
-        alive.remove(chosen)
-    return picked
+        for weight in self.weights:
+            acc += weight
+            self.cumulative.append(acc)
+
+    def sample(self, n: int, seed: int | None) -> list[ToyAction]:
+        actions = self.actions
+        if self.deterministic:
+            return self.ranked[:n]
+        if len(actions) == 1:
+            return actions[:n]  # the only legal move, whatever the draw
+        rng = random.Random(seed) if seed is not None else random.Random()
+        if n == 1:
+            # First running sum above the mark; the last action when rounding
+            # leaves the mark at or above every sum.
+            chosen = bisect_right(self.cumulative, rng.random() * self.total)
+            return [actions[min(chosen, len(actions) - 1)]]
+        weights = self.weights
+        picked: list[ToyAction] = []
+        alive = list(range(len(actions)))
+        for _ in range(min(n, len(actions))):
+            total = sum(weights[i] for i in alive)
+            mark = rng.random() * total
+            acc = 0.0
+            chosen = alive[-1]
+            for i in alive:
+                acc += weights[i]
+                if mark < acc:
+                    chosen = i
+                    break
+            picked.append(actions[chosen])
+            alive.remove(chosen)
+        return picked
 
 
 def toy_state_decoder(backend: ToyBackend):

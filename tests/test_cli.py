@@ -158,6 +158,40 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
     assert "mcts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--strategy", "sbs", "--b1", "0"],
+        ["--strategy", "sbs", "--b2", "0"],
+        ["--strategy", "mcts", "--c-puct", "-1"],
+        ["--strategy", "mcts", "--n-sims", "0"],
+    ],
+)
+def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
+    dataset = toy_dataset(tmp_path, n=2)
+    out = tmp_path / "report.json"
+    assert main(["solve", dataset, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b"])
+def test_dump_trees_rejects_path_like_ids(tmp_path, capsys, bad_id):
+    rows = corpus_to_records(toy_corpus(2, 0))
+    rows[1]["id"] = bad_id
+    dataset = write_dataset(tmp_path, rows)
+    dump_dir = tmp_path / "deep" / "trees"
+    out = tmp_path / "report.json"
+    code = main(
+        ["solve", dataset, "--strategy", "mcts", "--dump-trees", str(dump_dir), "--out", str(out)]
+    )
+    assert code == EXIT_DATASET
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not out.exists()
+    assert not dump_dir.exists()
+    assert list(tmp_path.rglob("*.tree.json")) == []
+
+
 def test_solve_over_the_wire_backend(tmp_path, monkeypatch):
     corpus = toy_corpus(2, seed=3)
     inner = ToyBackend.for_corpus(corpus, mode=Mode.ORACLE)

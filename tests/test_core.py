@@ -203,12 +203,19 @@ def test_normalize_answer_examples():
 
 def test_normalization_is_idempotent():
     rng = random.Random(3)
-    pool = ["$50$", "1/2", "  [-4, 0) ", "\\(x+1\\)", "3.14159", "FOO.", "$-7$", "0.5"]
-    for _ in range(100):
-        raw = rng.choice(pool)
+    pool = [
+        "$50$", "1/2", "  [-4, 0) ", "\\(x+1\\)", "3.14159", "FOO.", "$-7$", "0.5",
+        # wrappers that only come off after an earlier one does
+        "x. .", "$x$ .", "\\(x\\) .", "$7. $", "$$3$.$", " .$x$. ",
+    ]
+    parts = ["$", ".", " ", "\\(", "\\)", "x", "1", "[", "(", ",", ")", "]"]
+    pool += ["".join(rng.choice(parts) for _ in range(rng.randint(1, 8))) for _ in range(2000)]
+    for raw in pool:
         once = normalize_answer(raw)
         twice = normalize_answer(once.normalized)
-        assert once.normalized == twice.normalized
+        assert once.normalized == twice.normalized, raw
+    assert normalize_answer("x. .").normalized == "x"
+    assert normalize_answer("$x$ .").normalized == "x"
 
 
 def test_answers_equivalent_examples():

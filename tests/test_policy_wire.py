@@ -6,8 +6,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
-from rsp.core import STEP_OPEN, Step, normalize_answer, answers_equivalent
+from rsp.core import STEP_OPEN, ContractViolation, Step, normalize_answer, answers_equivalent
 from rsp.inference import sbs_decode
 from rsp.policy import (
     ProposalRequest,
@@ -253,3 +254,80 @@ def test_remote_search_runs_past_the_default_depth_budget():
     assert over_wire.answer is not None and over_wire.answer.normalized == "11"
     assert over_wire.steps_taken == in_process.steps_taken == 12
     assert over_wire.path.render() == in_process.path.render()
+
+
+class _Rejects(ScriptedBackend):
+    """Scripted backend whose value calls raise the given exception."""
+
+    def __init__(self, exc):
+        super().__init__({})
+        self.exc = exc
+
+    def predict_value(self, state):
+        raise self.exc
+
+
+def _counting_decoder(calls, fail=None):
+    def decode(rendered):
+        calls.append(rendered)
+        if fail is not None:
+            raise fail
+        return make_state(question_text=rendered.partition(STEP_OPEN)[0])
+
+    return decode
+
+
+def test_rejected_state_fails_after_one_round_trip(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    calls = []
+    decode = _counting_decoder(calls, fail=ContractViolation("unknown question"))
+    server = serve_backend(ScriptedBackend({}), decode)
+    try:
+        remote = RemoteBackend(_url(server), backoff=5.0)
+        with pytest.raises(TransportError, match="400"):
+            remote.predict_value(make_state())
+    finally:
+        server.shutdown()
+    assert len(calls) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "exc, status, attempts",
+    [(ContractViolation("not this state"), 400, 1), (RuntimeError("bug"), 500, 3)],
+)
+def test_backend_failures_map_to_client_or_server_errors(monkeypatch, exc, status, attempts):
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    calls = []
+    server = serve_backend(_Rejects(exc), _counting_decoder(calls))
+    try:
+        response = requests.post(f"{_url(server)}/value", json={"state": "q"}, timeout=10)
+        assert response.status_code == status
+        calls.clear()
+        with pytest.raises(TransportError):
+            RemoteBackend(_url(server), backoff=5.0).predict_value(make_state())
+    finally:
+        server.shutdown()
+    assert len(calls) == attempts
+    assert len(sleeps) == attempts - 1
+
+
+def test_malformed_requests_are_client_errors():
+    bad = [
+        ("/value", b"{not json"),
+        ("/value", b"[1, 2]"),
+        ("/value", b"{}"),
+        ("/propose", b'{"state": "q"}'),
+        ("/propose", b'{"state": "q", "n_samples": "many", "temperature": 1.0}'),
+        ("/propose", b'{"state": "q", "n_samples": 0, "temperature": 1.0}'),
+    ]
+    server = serve_backend(ScriptedBackend({}), _counting_decoder([]))
+    try:
+        for path, body in bad:
+            response = requests.post(f"{_url(server)}{path}", data=body, timeout=10)
+            assert response.status_code == 400, body
+            assert "error" in response.json()
+    finally:
+        server.shutdown()

@@ -2,11 +2,14 @@
 
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
-from rsp.core import ContractViolation, Step, apply_step, normalize_answer
+from rsp.core import ContractViolation, Step, apply_step, derive_seed, normalize_answer
+from rsp.mcts import mc_rollout_estimate
 from rsp.policy import DETERMINISTIC_TEMPERATURE, ProposalRequest
 from rsp.toyenv import (
     ActionKind,
@@ -328,3 +331,123 @@ def test_gold_answers_are_normalizable():
     for problem in toy_corpus(10, seed=3):
         answer = normalize_answer(problem.gold_answer)
         assert answer.numeric is not None
+
+
+def _reference_sample(actions, n, temperature, seed):
+    """Sampling from scratch, without memoized tables: the reference the
+    backend's memoized sampler must match pick for pick."""
+    n = min(n, len(actions))
+    if temperature <= DETERMINISTIC_TEMPERATURE:
+        ranked = sorted(range(len(actions)), key=lambda i: (-actions[i].prob, i))
+        return [actions[i] for i in ranked[:n]]
+    logs = [math.log(a.prob) / temperature for a in actions]
+    peak = max(logs)
+    weights = [math.exp(l - peak) for l in logs]
+    rng = random.Random(seed) if seed is not None else random.Random()
+    picked = []
+    alive = list(range(len(actions)))
+    for _ in range(n):
+        total = sum(weights[i] for i in alive)
+        mark = rng.random() * total
+        acc = 0.0
+        chosen = alive[-1]
+        for i in alive:
+            acc += weights[i]
+            if mark < acc:
+                chosen = i
+                break
+        picked.append(actions[chosen])
+        alive.remove(chosen)
+    return picked
+
+
+def test_memoized_sampler_matches_sampling_from_scratch():
+    rng = random.Random(17)
+    tables = []
+    for size in (1, 1, 2, 3, 4, 5, 6, 8):
+        raw = [rng.choice([1.0, 1.0, rng.uniform(1e-6, 1.0)]) for _ in range(size)]
+        tables.append([p / sum(raw) for p in raw])
+    tables.append([0.5, 0.25, 0.25])  # the ties toy problems produce
+    for t, probs in enumerate(tables):
+        actions = [
+            ToyAction(label=f"op{i}", kind=ActionKind.OP, prob=p, value_before=0, value_after=i)
+            for i, p in enumerate(probs)
+        ]
+        problem = TableProblem(f"tbl-{t}", "0", {(): actions})
+        for temperature in (1.0, 0.7, DETERMINISTIC_TEMPERATURE):
+            for n in (1, 2, 5, 50):
+                for seed in range(200):
+                    got = problem.sampler((), temperature).sample(n, seed)
+                    want = _reference_sample(actions, n, temperature, seed)
+                    assert got == want, (probs, temperature, n, seed)
+
+
+def test_rollout_estimates_keep_their_pinned_bits():
+    # Root states of acceptance criterion 2, with its seeds; the values were
+    # recorded before the toy sampler was memoized, so any change to a draw
+    # or to the float arithmetic shows here.
+    problems = toy_corpus(20, seed=202)
+    backend = ToyBackend.for_corpus(problems, mode=Mode.ORACLE)
+    pinned = {
+        0: "-0x1.d810624dd2f1bp-2",
+        1: "-0x1.4bc6a7ef9db23p-3",
+        5: "-0x1.ae147ae147ae1p-3",
+    }
+    for index, want in pinned.items():
+        problem = problems[index]
+        estimate = mc_rollout_estimate(
+            problem.root_state(), problem.gold_answer, backend,
+            n_rollouts=2000, seed=derive_seed(202, index),
+        )
+        assert estimate.hex() == want, index
+
+
+def _rollout_requests(problems, seed):
+    """Proposal requests along sampled paths, at every temperature in use."""
+    walker = ToyBackend.for_corpus(problems)
+    rng = random.Random(seed)
+    requests = []
+    for problem in problems:
+        for _ in range(6):
+            state = problem.root_state()
+            while not state.has_answer:
+                for temperature, n in ((1.0, 5), (0.6, 2), (DETERMINISTIC_TEMPERATURE, 1)):
+                    requests.append(
+                        ProposalRequest(state=state, n_samples=n, temperature=temperature,
+                                        seed=rng.randrange(2**63))
+                    )
+                state = apply_step(state, rng.choice(walker.propose_steps(requests[-3])).step)
+    return requests
+
+
+def test_concurrent_proposals_match_serial_ones():
+    problems = toy_corpus(6, seed=21)
+    requests = _rollout_requests(problems, seed=21)
+    serial_backend = ToyBackend.for_corpus(problems)
+    serial = [[p.step for p in serial_backend.propose_steps(r)] for r in requests]
+
+    # Cold shared caches, four threads each walking the requests in its own
+    # order, and frequent thread switches: racing memo fills must not change
+    # a single proposal.
+    shared = ToyBackend(mode=Mode.ORACLE)
+    results = [{} for _ in range(4)]
+
+    def work(slot):
+        order = list(range(len(requests)))
+        random.Random(slot).shuffle(order)
+        for i in order:
+            results[slot][i] = [p.step for p in shared.propose_steps(requests[i])]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert [result[i] for i in range(len(requests))] == serial
