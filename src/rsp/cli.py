@@ -367,16 +367,23 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
 
 def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
-    rows = _load_dataset(dataset_path, require_gold=True)
-    backend = _make_backend(settings, default_toy_mode=Mode.COLD)
+    # checked before the dataset loads, so a bad setting writes nothing
+    if settings["trees_per_question"] < 1:
+        raise ConfigError("trees_per_question must be >= 1")
+    for key in ("max_pos", "max_neg"):
+        if settings[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
+    temperature = settings["temperature"]
     search = SearchConfig(
         c_puct=settings["c_puct"],
         n_simulations=settings["n_simulations"],
         expansion_width=settings["b2"],
         max_depth=settings["t_max"],
-        temperature=settings["temperature"] or 1.0,
+        temperature=1.0 if temperature is None else temperature,
         evaluation=EvaluationMode.TERMINAL_REWARD,
     )
+    rows = _load_dataset(dataset_path, require_gold=True)
+    backend = _make_backend(settings, default_toy_mode=Mode.COLD)
 
     def work(item: tuple[int, dict]) -> list:
         index, row = item

@@ -148,7 +148,10 @@ class RemoteBackend(PolicyValueBackend):
     POST /value    {"state"} -> {"value": float}
 
     Requests carry the protocol version header; transient failures are
-    retried up to ``max_attempts`` times with exponential backoff.
+    retried up to ``max_attempts`` times with exponential backoff. Each
+    thread keeps one session, and so one persistent connection, and reads
+    the environment's proxy, CA bundle and netrc settings when its session
+    is created.
     """
 
     def __init__(
@@ -168,6 +171,16 @@ class RemoteBackend(PolicyValueBackend):
         session = getattr(self._local, "session", None)
         if session is None:
             session = requests.Session()
+            # Resolve the environment's proxy (and no_proxy), CA bundle and
+            # netrc settings for base_url once, here: with trust_env on,
+            # requests re-reads them from os.environ on every request.
+            settings = session.merge_environment_settings(
+                self.base_url, {}, None, None, None
+            )
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            session.auth = requests.utils.get_netrc_auth(self.base_url)
+            session.trust_env = False
             self._local.session = session
         return session
 
@@ -240,17 +253,31 @@ class RemoteBackend(PolicyValueBackend):
 
 class _BackendRequestHandler(BaseHTTPRequestHandler):
     """Serves an in-process backend over the wire protocol (used for tests
-    and for exposing the toy environment to external clients)."""
+    and for exposing the toy environment to external clients).
+
+    Connections are kept alive between requests. Every request body is read
+    in full before the reply, whatever the reply, so the next request on the
+    connection starts where this one ends.
+    """
 
     backend: PolicyValueBackend
     state_decoder = None  # callable: rendered text -> ReasoningState
+    protocol_version = "HTTP/1.1"
+    # The headers and the body go out in two writes; with Nagle's algorithm
+    # the body can wait for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:  # quiet by default
         logger.debug("wire server: " + fmt, *args)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
+    def _read_body(self) -> bytes | None:
+        """The request body by its Content-Length; None when that header
+        is missing or invalid."""
+        try:
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):
+            return None
+        return self.rfile.read(length) if length >= 0 else None
 
     def _reply(self, code: int, payload: dict) -> None:
         blob = json.dumps(payload).encode()
@@ -258,18 +285,36 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
         self.send_header(VERSION_HEADER, WIRE_VERSION)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
+        raw = self._read_body()
+        if raw is None:
+            # Where this request ends is unknown, so nothing after it on the
+            # connection can be read as a request.
+            self.close_connection = True
+            self._reply(400, {"error": "Content-Length missing or invalid"})
+            return
         if self.path not in ("/propose", "/value"):
             self._reply(404, {"error": f"unknown path {self.path}"})
+            return
+        # A client without the header (curl, say) is served; one that sends
+        # another version would misread the replies.
+        version = self.headers.get(VERSION_HEADER)
+        if version is not None and version != WIRE_VERSION:
+            self._reply(
+                400,
+                {"error": f"wire version {version!r} is not {WIRE_VERSION!r}"},
+            )
             return
         # A request that cannot be parsed, or that the backend rejects by
         # contract, fails the same way on every attempt: answer 4xx so the
         # client does not retry it. Only unexpected failures are 500s.
         try:
-            body = self._read_body()
+            body = json.loads(raw)
             state = type(self).state_decoder(body["state"])
             if self.path == "/propose":
                 request = ProposalRequest(

@@ -487,7 +487,7 @@ class _Sampler:
             return
         # Temperature-adjusted weights computed in log space for small t.
         logs = [math.log(a.prob) / temperature for a in actions]
-        peak = max(logs)
+        peak = max(logs, default=0.0)  # no actions: a dead end, see sample()
         self.weights = [math.exp(l - peak) for l in logs]
         self.total = sum(self.weights)
         self.cumulative: list[float] = []
@@ -500,8 +500,8 @@ class _Sampler:
         actions = self.actions
         if self.deterministic:
             return self.ranked[:n]
-        if len(actions) == 1:
-            return actions[:n]  # the only legal move, whatever the draw
+        if len(actions) <= 1:
+            return actions[:n]  # the only legal move or none, whatever the draw
         rng = random.Random(seed) if seed is not None else random.Random()
         if n == 1:
             # First running sum above the mark; the last action when rounding

@@ -208,6 +208,43 @@ def test_solve_over_the_wire_backend(tmp_path, monkeypatch):
         server.shutdown()
 
 
+def _without_timings(result):
+    summary = {k: v for k, v in result["summary"].items() if k != "avg_time_s"}
+    reports = [
+        {k: v for k, v in entry.items() if k != "elapsed_seconds"}
+        for entry in result["reports"]
+    ]
+    return summary, reports
+
+
+@pytest.mark.parametrize(
+    "flags", [["--strategy", "mcts"], ["--strategy", "sbs", "--b1", "3"]]
+)
+def test_remote_jobs_match_serial_and_in_process_reports(tmp_path, monkeypatch, flags):
+    corpus = toy_corpus(6, seed=8)
+    dataset = write_dataset(tmp_path, corpus_to_records(corpus))
+    inner = ToyBackend.for_corpus(corpus, mode=Mode.ORACLE)
+    server = serve_backend(inner, toy_state_decoder(inner))
+    runs = {}
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        monkeypatch.setenv(BACKEND_URL_ENV, url)
+        # each worker thread holds its own persistent connection
+        for name, extra in (
+            ("remote-1", ["--backend", "remote", "--jobs", "1"]),
+            ("remote-2", ["--backend", "remote", "--jobs", "2"]),
+            ("toy", []),
+        ):
+            out = tmp_path / f"{name}.json"
+            assert main(["solve", dataset, *flags, *extra, "--out", str(out)]) == EXIT_OK
+            runs[name] = _without_timings(json.loads(out.read_text()))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert all(e["error"] is None for e in runs["toy"][1])
+    assert runs["remote-1"] == runs["remote-2"] == runs["toy"]
+
+
 def test_backend_failures_become_per_question_entries(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(BACKEND_URL_ENV, "http://127.0.0.1:1")
     dataset = toy_dataset(tmp_path, n=2)
@@ -242,6 +279,26 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "round1.manifest.json").read_text())
     assert manifest["records"] == len(records)
     assert manifest["trees_per_question"] == 4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--temperature", "0"],
+        ["--temperature", "-1"],
+        ["--trees-per-question", "0"],
+        ["--trees-per-question", "-1"],
+        ["--max-pos", "-1"],
+        ["--max-neg", "-1"],
+    ],
+)
+def test_generate_rejects_invalid_settings_before_writing(tmp_path, capsys, flags):
+    dataset = toy_dataset(tmp_path, n=1)
+    out = tmp_path / "round1.jsonl"
+    assert main(["generate", dataset, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "round1.manifest.json").exists()
 
 
 def test_generate_reruns_are_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Wire-protocol client/server tests using stub HTTP servers."""
 
+import base64
+import http.client
 import json
 import re
 import threading
@@ -331,3 +333,195 @@ def test_malformed_requests_are_client_errors():
             assert "error" in response.json()
     finally:
         server.shutdown()
+
+
+def _count_connections(server):
+    """Record the client address of every connection the server accepts."""
+    accepted = []
+    get_request = server.get_request
+
+    def counting():
+        sock, address = get_request()
+        accepted.append(address)
+        return sock, address
+
+    server.get_request = counting
+    return accepted
+
+
+def test_one_backend_keeps_one_connection():
+    problem = generate_problem(42)
+    inner = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    server = serve_backend(inner, toy_state_decoder(inner))
+    accepted = _count_connections(server)
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        request = ProposalRequest(
+            state=problem.root_state(), n_samples=3, temperature=1.0, seed=1
+        )
+        for i in range(50):
+            if i % 2:
+                remote.predict_value(problem.root_state())
+            else:
+                assert remote.propose_steps(request)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(accepted) == 1
+
+
+def test_replies_leave_the_connection_at_a_request_boundary():
+    # Each refused request carries a body; a reply sent before that body is
+    # read leaves it in the stream, where it would be parsed as the next
+    # request on the kept-alive connection.
+    server = serve_backend(ScriptedBackend({}), _counting_decoder([]))
+    accepted = _count_connections(server)
+    valid = json.dumps({"state": "q"}).encode()
+    refused = [
+        ("/nowhere", b'{"state": "' + b"x" * 4000 + b'"}', {}, 404),
+        ("/value", b"{not json" + b" " * 4000, {}, 400),
+        ("/value", valid, {VERSION_HEADER: "0"}, 400),
+    ]
+    try:
+        with requests.Session() as session:
+            for path, body, headers, status in refused:
+                response = session.post(
+                    f"{_url(server)}{path}", data=body, headers=headers, timeout=10
+                )
+                assert response.status_code == status, path
+                assert "error" in response.json()
+                response = session.post(f"{_url(server)}/value", data=valid, timeout=10)
+                assert response.status_code == 200, path
+                assert response.json() == {"value": 0.0}
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(accepted) == 1
+
+
+def test_missing_content_length_is_a_client_error_that_closes():
+    server = serve_backend(ScriptedBackend({}), _counting_decoder([]))
+    try:
+        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+        connection.putrequest("POST", "/value")
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert "Content-Length" in json.loads(response.read())["error"]
+        connection.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_wire_version_mismatch_is_refused_without_retry(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    calls = []
+    server = serve_backend(ScriptedBackend({}), _counting_decoder(calls))
+    try:
+        remote = RemoteBackend(_url(server), backoff=5.0)
+        session = remote._session()
+        post, sent = session.post, []
+
+        def post_as_version_0(url, headers, **kwargs):
+            sent.append(url)
+            return post(url, headers={**headers, VERSION_HEADER: "0"}, **kwargs)
+
+        session.post = post_as_version_0
+        with pytest.raises(TransportError, match="400"):
+            remote.predict_value(make_state())
+        assert len(sent) == 1
+        assert sleeps == []
+        assert calls == []  # refused before the state is decoded
+        # a client that sends no version header (curl, say) is served
+        response = requests.post(f"{_url(server)}/value", json={"state": "q"}, timeout=10)
+        assert response.status_code == 200
+        assert response.headers[VERSION_HEADER] == WIRE_VERSION
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(calls) == 1
+
+
+def _dead_proxy_env(monkeypatch, no_proxy=None):
+    # A proxy on a port nothing listens on; lower-case names take precedence.
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, "http://127.0.0.1:1")
+    for name in ("no_proxy", "NO_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    if no_proxy is not None:
+        monkeypatch.setenv("NO_PROXY", no_proxy)
+
+
+def test_environment_proxy_is_honoured(monkeypatch):
+    server, handler = _start_stub([(200, {"value": 0.25})])
+    try:
+        _dead_proxy_env(monkeypatch)
+        with pytest.raises(TransportError):
+            RemoteBackend(_url(server), backoff=0.01, max_attempts=1).predict_value(make_state())
+        assert handler.requests_seen == []  # the request went to the proxy
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_no_proxy_bypasses_the_environment_proxy(monkeypatch):
+    server, _ = _start_stub([(200, {"value": 0.25})])
+    try:
+        _dead_proxy_env(monkeypatch, no_proxy="127.0.0.1")
+        remote = RemoteBackend(_url(server), backoff=0.01, max_attempts=1)
+        assert remote.predict_value(make_state()).value == 0.25
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_environment_is_read_once_per_session(monkeypatch):
+    lookups = []
+    original = requests.utils.get_environ_proxies
+
+    def counting(*args, **kwargs):
+        lookups.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
+    monkeypatch.setattr(requests.utils, "get_environ_proxies", counting)
+    _dead_proxy_env(monkeypatch, no_proxy="127.0.0.1")
+    server, handler = _start_stub([(200, {"value": 0.25})] * 50)
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01, max_attempts=1)
+        for _ in range(50):
+            assert remote.predict_value(make_state()).value == 0.25
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(handler.requests_seen) == 50
+    assert len(lookups) == 1
+
+
+def test_netrc_and_ca_bundle_settings_are_kept(monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
+    verify = []
+    send = requests.adapters.HTTPAdapter.send
+
+    def recording(adapter, request, **kwargs):
+        verify.append(kwargs["verify"])
+        return send(adapter, request, **kwargs)
+
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", recording)
+    server, handler = _start_stub([(200, {"value": 0.25})])
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        assert remote.predict_value(make_state()).value == 0.25
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert verify == [str(tmp_path / "ca.pem")]
+    auth = base64.b64encode(b"user:secret").decode()
+    assert handler.headers_seen[0]["Authorization"] == f"Basic {auth}"

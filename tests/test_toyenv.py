@@ -451,3 +451,14 @@ def test_concurrent_proposals_match_serial_ones():
     assert not any(thread.is_alive() for thread in threads)
     for result in results:
         assert [result[i] for i in range(len(requests))] == serial
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7, DETERMINISTIC_TEMPERATURE])
+def test_empty_action_table_is_a_dead_end(temperature):
+    problem = TableProblem("tbl-x", "1", {(): []})
+    backend = ToyBackend.for_corpus([problem])
+    for n in (1, 3):
+        request = ProposalRequest(
+            state=problem.root_state(), n_samples=n, temperature=temperature, seed=0
+        )
+        assert backend.propose_steps(request) == []
