@@ -36,6 +36,7 @@ from .inference import (
     greedy_decode,
     inference_search_config,
     majority_vote,
+    q_sweep,
     sbs_decode,
 )
 from .mcts import (
@@ -47,7 +48,7 @@ from .mcts import (
     snapshot_to_tree,
     tree_to_snapshot,
 )
-from .policy import BACKEND_URL_ENV, RemoteBackend, TransportError
+from .policy import BACKEND_URL_ENV, RemoteBackend
 from .toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus
 
 EXIT_OK = 0
@@ -225,7 +226,7 @@ def _strategy_temperature(settings: dict) -> float:
 def _solve_search_config(settings: dict) -> SearchConfig:
     """The decode-time tree settings, built (and so checked) before any
     question runs; b2, t_max and the temperature also drive beam search."""
-    for key in ("b1", "k"):
+    for key in ("b1", "k", "jobs"):
         if settings[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
     return inference_search_config(
@@ -335,7 +336,7 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
         index, row = item
         return _solve_one(settings, search, backend, index, row, dump_dir)
 
-    jobs = max(1, settings["jobs"])
+    jobs = settings["jobs"]
     if jobs == 1:
         entries = [work(item) for item in enumerate(rows)]
     else:
@@ -368,8 +369,9 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
 def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
     # checked before the dataset loads, so a bad setting writes nothing
-    if settings["trees_per_question"] < 1:
-        raise ConfigError("trees_per_question must be >= 1")
+    for key in ("trees_per_question", "jobs"):
+        if settings[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
     for key in ("max_pos", "max_neg"):
         if settings[key] < 0:
             raise ConfigError(f"{key} must be >= 0")
@@ -406,7 +408,7 @@ def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
             seed=derive_seed(settings["seed"], index, 0x5E1EC7),
         )
 
-    jobs = max(1, settings["jobs"])
+    jobs = settings["jobs"]
     if jobs == 1:
         per_question = [work(item) for item in enumerate(rows)]
     else:
@@ -452,6 +454,8 @@ def _step_caption(node) -> str:
 
 
 def run_inspect(snapshot_path: str, beam_width: int) -> str:
+    if beam_width < 1:
+        raise ConfigError("b1 must be >= 1")
     try:
         doc = json.loads(Path(snapshot_path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -492,8 +496,6 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
         lines.append(f"  {label:>18} {'#' * min(count, 50)} {count}")
     lines.append("")
     lines.append(f"value sweep (beam width {beam_width}):")
-    from .inference import q_sweep
-
     best, history = q_sweep(tree.root, beam_width, tree.config.q_init)
     for level, kept in enumerate(history, start=root_depth + 1):
         shown = ", ".join(
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = sub.add_parser("inspect", help="summarize a tree snapshot")
     inspect.add_argument("snapshot")
-    inspect.add_argument("--b1", type=int, default=None, help="sweep beam width")
+    inspect.add_argument("--b1", type=int, default=1, help="sweep beam width")
 
     toydata = sub.add_parser("toydata", help="write a toy dataset JSONL")
     toydata.add_argument("--n", type=int, default=20)
@@ -595,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
         if args.command == "inspect":
-            print(run_inspect(args.snapshot, args.b1 or 1))
+            print(run_inspect(args.snapshot, args.b1))
             return EXIT_OK
         if args.command == "toydata":
             corpus = toy_corpus(args.n, args.seed)
@@ -615,9 +617,6 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TransportError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except EngineError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -64,6 +64,10 @@ class Step:
     ``mean_log_prob`` is the mean per-token log-probability the generator
     assigned to the step text; it must be <= 0 so that the derived prior
     exp(mean_log_prob) lands in (0, 1].
+
+    ``answer`` is derived: the final answer parsed from the text of an
+    answer step (MalformedStepError without the marker), None for a code
+    step. It is the only place a step's answer is parsed.
     """
 
     kind: StepKind
@@ -72,7 +76,7 @@ class Step:
     contains_code: bool = False
     code_errored: bool = False
     code_output: str | None = None
-    extracted_answer: str | None = None
+    answer: Answer | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -83,13 +87,12 @@ class Step:
             )
         if self.mean_log_prob > 0.0:
             raise ContractViolation("mean_log_prob must be <= 0")
+        answer = None
         if self.kind is StepKind.ANSWER:
-            if self.extracted_answer is None:
-                raise ContractViolation("answer step requires extracted_answer")
             if self.contains_code:
                 raise ContractViolation("answer step cannot contain code")
-        elif self.extracted_answer is not None:
-            raise ContractViolation("only answer steps carry extracted_answer")
+            answer = extract_answer_text(self.text)
+        object.__setattr__(self, "answer", answer)
 
     @property
     def prior(self) -> float:
@@ -102,21 +105,17 @@ class Step:
         """Parse one rendered step block; the single step-text codec.
 
         ``kind`` defaults to ANSWER when the text carries the final-answer
-        marker and CODE otherwise. Answer steps get their extracted answer
-        (MalformedStepError without the marker); code steps get
-        ``contains_code`` from the presence of a code block. Execution
-        metadata (``code_output``, ``code_errored``) is not in the text and
-        keeps its defaults.
+        marker and CODE otherwise. Code steps get ``contains_code`` from
+        the presence of a code block. Execution metadata (``code_output``,
+        ``code_errored``) is not in the text and keeps its defaults.
         """
         if kind is None:
             kind = StepKind.ANSWER if FINAL_ANSWER_MARKER in text else StepKind.CODE
-        answers = kind is StepKind.ANSWER
         return cls(
             kind=kind,
             text=text,
             mean_log_prob=mean_log_prob,
-            contains_code=not answers and "<code>" in text,
-            extracted_answer=extract_answer_text(text).normalized if answers else None,
+            contains_code=kind is StepKind.CODE and "<code>" in text,
         )
 
     @classmethod
@@ -143,7 +142,6 @@ class Step:
             kind=StepKind.ANSWER,
             text=render_answer_step(analysis, answer),
             mean_log_prob=mean_log_prob,
-            extracted_answer=normalize_answer(answer).normalized,
         )
 
 
@@ -170,6 +168,11 @@ class ReasoningState:
     @property
     def has_answer(self) -> bool:
         return bool(self.steps) and self.steps[-1].kind is StepKind.ANSWER
+
+    @property
+    def answer(self) -> Answer | None:
+        """The final answer: the last step's, None when there is none."""
+        return self.steps[-1].answer if self.steps else None
 
     def render(self) -> str:
         """Question text followed by each step's text, concatenated in order."""
@@ -301,13 +304,6 @@ def extract_answer_text(text: str) -> Answer:
     if end >= 0:
         tail = tail[:end]
     return normalize_answer(tail)
-
-
-def extract_answer(step: Step) -> Answer | None:
-    """Pull the normalized final answer out of an answer step; None for code steps."""
-    if step.kind is not StepKind.ANSWER:
-        return None
-    return extract_answer_text(step.text)
 
 
 def is_terminal(state: ReasoningState, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:

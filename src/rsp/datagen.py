@@ -20,7 +20,6 @@ from .core import (
     Answer,
     ContractViolation,
     Step,
-    extract_answer,
     is_correct,
 )
 from .mcts import SearchNode, SearchTree, q_targets
@@ -85,7 +84,7 @@ def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
                 and node.state.has_answer
             ):
                 steps = tuple(n.step for n in lineage if n.step is not None)
-                predicted = extract_answer(steps[-1])
+                predicted = steps[-1].answer
                 paths.append(
                     SolutionPath(
                         question_id=tree.question.question_id,

@@ -19,7 +19,6 @@ from .core import (
     ReasoningState,
     answers_equivalent,
     apply_step,
-    extract_answer,
     is_terminal,
 )
 from .mcts import (
@@ -58,7 +57,7 @@ def _finish(
     state: ReasoningState, started: float, candidates_returned: int
 ) -> InferenceReport:
     return InferenceReport(
-        answer=extract_answer(state.steps[-1]) if state.has_answer else None,
+        answer=state.answer,
         path=state,
         elapsed_seconds=time.perf_counter() - started,
         steps_taken=len(state.steps),
@@ -276,7 +275,7 @@ def majority_vote(
     ]
     groups: list[dict] = []  # {"answer": Answer, "count": int, "first": int}
     for index, state in enumerate(finals):
-        answer = extract_answer(state.steps[-1]) if state.has_answer else None
+        answer = state.answer
         if answer is None:
             continue
         for group in groups:

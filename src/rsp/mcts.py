@@ -185,7 +185,7 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
         if step.kind is StepKind.ANSWER:
             terminal = True
             if tree.gold_answer is not None:
-                correct = is_correct(step.extracted_answer, tree.gold_answer)
+                correct = is_correct(step.answer, tree.gold_answer)
                 reward = Reward(1.0 if correct else -1.0)
         elif child_state.depth >= cfg.max_depth:
             terminal = True
@@ -317,7 +317,6 @@ def mc_rollout_estimate(
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
     gold = as_answer(gold_answer)
-    graded: dict[str, bool] = {}  # extracted answer -> correct
     rng = random.Random(seed)
     total = 0.0
     for _ in range(n_rollouts):
@@ -325,13 +324,7 @@ def mc_rollout_estimate(
         reward: float | None = None
         while reward is None:
             if is_terminal(current, max_depth):
-                correct = False
-                if current.has_answer:
-                    answer = current.steps[-1].extracted_answer
-                    correct = graded.get(answer)
-                    if correct is None:
-                        correct = graded[answer] = is_correct(answer, gold)
-                reward = 1.0 if correct else -1.0
+                reward = 1.0 if is_correct(current.answer, gold) else -1.0
                 break
             request = ProposalRequest(
                 state=current,
@@ -429,7 +422,9 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
 
     Generation metadata that the snapshot does not carry (code outputs,
     error flags) is not restored; ranking state (visits, totals, rewards,
-    terminal flags, child order) is.
+    terminal flags, child order) is. A second root, a parent that is not an
+    earlier node, negative visits or ``|total_value| > visits`` is a
+    SnapshotError.
     """
     schema = doc.get("schema")
     if schema != SNAPSHOT_SCHEMA:
@@ -453,7 +448,24 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
         by_id: dict[int, SearchNode] = {}
         root: SearchNode | None = None
         for entry in doc["nodes"]:
-            parent = by_id.get(entry["parent_id"]) if entry["parent_id"] is not None else None
+            parent_id = entry["parent_id"]
+            if parent_id is None:
+                if root is not None:
+                    raise SnapshotError("snapshot has a second root node")
+                parent = None
+            else:
+                parent = by_id.get(parent_id)
+                if parent is None:
+                    raise SnapshotError(
+                        f"node {entry['id']} names parent {parent_id}, "
+                        "which is not an earlier node"
+                    )
+            visits, total_value = entry["visits"], entry["total_value"]
+            if visits < 0 or abs(total_value) > visits:
+                raise SnapshotError(
+                    f"node {entry['id']} has visits {visits} and total value "
+                    f"{total_value}; values lie in [-1, 1]"
+                )
             if entry["step_text"] is None:
                 step = None
                 state = question
@@ -474,8 +486,8 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
                 state=state,
                 stats=NodeStats(
                     prior=entry["prior"],
-                    visits=entry["visits"],
-                    total_value=entry["total_value"],
+                    visits=visits,
+                    total_value=total_value,
                     model_value=entry.get("model_value"),
                 ),
                 step=step,

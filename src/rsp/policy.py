@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -23,7 +24,6 @@ from .core import (
     ReasoningState,
     Step,
     StepKind,
-    normalize_answer,
 )
 
 logger = logging.getLogger(__name__)
@@ -35,6 +35,10 @@ BACKEND_URL_ENV = "RSP_BACKEND_URL"
 # A positive temperature at or below this requests the deterministic
 # (mode-seeking) proposal ordering from a backend.
 DETERMINISTIC_TEMPERATURE = 1e-6
+
+# Seconds between the reference server's checks for shutdown(), and so the
+# longest shutdown() waits.
+SERVER_POLL_INTERVAL = 0.02
 
 
 class TransportError(EngineError):
@@ -110,14 +114,8 @@ def _step_from_wire(payload: dict) -> Step:
     text = payload.get("text")
     if not isinstance(text, str):
         raise TransportError("proposal text missing or not a string")
-    extracted = None
-    if kind is StepKind.ANSWER:
-        answer = payload.get("answer")
-        if isinstance(answer, str):
-            extracted = normalize_answer(answer).normalized
-        else:
-            # Fall back to parsing the rendered text; raises on malformed steps.
-            extracted = Step.from_text(text, kind=kind).extracted_answer
+    # The answer is parsed from the text; a v1 payload's "answer" field is
+    # not read, so it cannot disagree with the text.
     return Step(
         kind=kind,
         text=text,
@@ -125,7 +123,6 @@ def _step_from_wire(payload: dict) -> Step:
         contains_code=bool(payload.get("contains_code", False)),
         code_errored=bool(payload.get("code_errored", False)),
         code_output=payload.get("code_output"),
-        extracted_answer=extracted,
     )
 
 
@@ -137,7 +134,7 @@ def _step_to_wire(step: Step) -> dict:
         "contains_code": step.contains_code,
         "code_errored": step.code_errored,
         "code_output": step.code_output,
-        "answer": step.extracted_answer,
+        "answer": step.answer.normalized if step.answer else None,
     }
 
 
@@ -342,18 +339,56 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
         self._reply(200, payload)
 
 
+class _BackendServer(ThreadingHTTPServer):
+    """A threading HTTP server whose server_close() also ends the
+    connections it keeps alive, so no handler thread serves after it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        # Shut down, not close: each handler thread then reads end-of-stream
+        # and closes its own socket.
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already went away
+
+
 def serve_backend(backend: PolicyValueBackend, state_decoder, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Expose ``backend`` over HTTP; returns the (already started) server.
 
     ``state_decoder`` maps a rendered state string back to a ReasoningState
-    the backend understands. The caller owns shutdown().
+    the backend understands. The caller owns shutdown(), which stops
+    accepting connections, and server_close(), which also closes the
+    kept-alive ones.
     """
     handler = type(
         "BoundBackendHandler",
         (_BackendRequestHandler,),
         {"backend": backend, "state_decoder": staticmethod(state_decoder)},
     )
-    server = ThreadingHTTPServer((host, port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = _BackendServer((host, port), handler)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": SERVER_POLL_INTERVAL},
+        daemon=True,
+    )
     thread.start()
     return server

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
+    Answer,
     ContractViolation,
     ReasoningState,
     Step,
@@ -427,15 +428,15 @@ class ToyBackend(PolicyValueBackend):
             self.problems[question_id] = problem
         return problem
 
-    def decode_state(self, state: ReasoningState) -> tuple[ToyProblem, tuple[str, ...], str | None]:
+    def decode_state(self, state: ReasoningState) -> tuple[ToyProblem, tuple[str, ...], Answer | None]:
         """Map a state to (problem, op-label history, answer or None)."""
         problem = self.problem_for(state.question_id)
         known = self._labels
         labels: list[str] = []
-        answered: str | None = None
+        answered: Answer | None = None
         for step in state.steps:
             if step.kind is StepKind.ANSWER:
-                answered = step.extracted_answer
+                answered = step.answer
                 continue
             label = known.get(step.text)
             if label is None:

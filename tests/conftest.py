@@ -1,5 +1,5 @@
-"""Shared test helpers: step factories, a scripted backend, and the
-acceptance-criteria summary printer."""
+"""Shared test helpers: step factories, a scripted backend, a server
+stopper, and the acceptance-criteria summary printer."""
 
 from __future__ import annotations
 
@@ -21,6 +21,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"{label}  criterion {number:2d}: {module.CRITERIA[number]}"
         )
+
+
+def stop_server(server) -> None:
+    """Stop a test HTTP server: end its serve loop, then close its listening
+    socket and (for the reference server) its kept-alive connections."""
+    server.shutdown()
+    server.server_close()
 
 
 def code_step(

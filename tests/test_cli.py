@@ -7,6 +7,7 @@ import pytest
 from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, main
 from rsp.policy import BACKEND_URL_ENV, serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
+from conftest import stop_server
 
 
 def write_dataset(tmp_path, rows, name="data.jsonl"):
@@ -175,6 +176,16 @@ def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_jobs_below_one_exit_before_the_dataset_loads(tmp_path, capsys, command, jobs):
+    out = tmp_path / "out.jsonl"
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    assert main([command, missing, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b"])
 def test_dump_trees_rejects_path_like_ids(tmp_path, capsys, bad_id):
     rows = corpus_to_records(toy_corpus(2, 0))
@@ -205,7 +216,7 @@ def test_solve_over_the_wire_backend(tmp_path, monkeypatch):
         assert code == EXIT_OK
         assert json.loads(out.read_text())["summary"]["accuracy"] == 1.0
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def _without_timings(result):
@@ -239,8 +250,7 @@ def test_remote_jobs_match_serial_and_in_process_reports(tmp_path, monkeypatch, 
             assert main(["solve", dataset, *flags, *extra, "--out", str(out)]) == EXIT_OK
             runs[name] = _without_timings(json.loads(out.read_text()))
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert all(e["error"] is None for e in runs["toy"][1])
     assert runs["remote-1"] == runs["remote-2"] == runs["toy"]
 
@@ -379,6 +389,20 @@ def test_inspect_summarizes_a_dumped_tree(tmp_path, capsys):
     assert "depth  1:" in text
     assert "value sweep (beam width 2):" in text
     assert "best path:" in text
+
+
+def test_inspect_rejects_a_beam_width_below_one(tmp_path, capsys):
+    dataset = toy_dataset(tmp_path, n=1, seed=9)
+    dump_dir = tmp_path / "trees"
+    assert main(
+        ["solve", dataset, "--strategy", "mcts", "--n-sims", "1", "--dump-trees", str(dump_dir)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    (snapshot,) = dump_dir.glob("*.tree.json")
+    assert main(["inspect", str(snapshot), "--b1", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "b1 must be >= 1" in captured.err
 
 
 def test_inspect_rejects_missing_and_malformed_snapshots(tmp_path, capsys):

@@ -13,7 +13,6 @@ from rsp.core import (
     answers_equivalent,
     apply_step,
     derive_seed,
-    extract_answer,
     is_correct,
     is_terminal,
     log_prior,
@@ -94,22 +93,32 @@ def test_answer_must_be_last_step():
         make_state(steps=(answer_step("1"), answer_step("2")))
 
 
-def test_extract_answer_examples():
-    assert extract_answer(answer_step("50")).normalized == "50"
-    assert extract_answer(answer_step("126")).normalized == "126"
-    assert extract_answer(code_step()) is None
+def test_step_answer_examples():
+    assert answer_step("50").answer.normalized == "50"
+    assert answer_step("126").answer.normalized == "126"
+    assert code_step().answer is None
+    # parsed from the text, so a step built from its text carries the same answer
+    step = answer_step("126")
+    assert Step.from_text(step.text).answer == step.answer
 
 
-def test_extract_answer_missing_marker_is_error():
+def test_state_answer_is_the_last_steps():
+    assert make_state().answer is None
+    assert make_state(steps=(code_step(),)).answer is None
+    final = answer_step("7")
+    state = make_state(steps=(code_step(), final))
+    assert state.answer is final.answer
+    assert state.answer.normalized == "7"
+
+
+def test_answer_step_without_marker_is_rejected_at_construction():
     # hand-build an answer step whose text lacks the marker
-    bad = Step(
-        kind=StepKind.ANSWER,
-        text="<step>\n<p>\nno marker here\n</p>\n</step>",
-        mean_log_prob=-0.1,
-        extracted_answer="x",
-    )
     with pytest.raises(MalformedStepError):
-        extract_answer(bad)
+        Step(
+            kind=StepKind.ANSWER,
+            text="<step>\n<p>\nno marker here\n</p>\n</step>",
+            mean_log_prob=-0.1,
+        )
 
 
 def test_step_invariants():
@@ -118,19 +127,11 @@ def test_step_invariants():
     with pytest.raises(ContractViolation):
         code_step(mean_log_prob=0.5)  # log-prob must be <= 0
     with pytest.raises(ContractViolation):
-        # answer steps must carry an extracted answer
-        Step(
-            kind=StepKind.ANSWER,
-            text=render_answer_step("a", " $1$"),
-            mean_log_prob=-0.1,
-        )
-    with pytest.raises(ContractViolation):
         # answer steps carry no code
         Step(
             kind=StepKind.ANSWER,
             text=render_answer_step("a", " $1$"),
             mean_log_prob=-0.1,
-            extracted_answer="1",
             contains_code=True,
         )
 

@@ -65,7 +65,7 @@ def test_harvest_covers_every_visited_answered_terminal():
     gold = normalize_answer(problem.gold_answer)
     for path in paths:
         last = path.steps[-1]
-        assert last.extracted_answer is not None
+        assert last.answer is not None
         assert path.predicted_answer is not None
         from rsp.core import answers_equivalent
 

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, apply_step, extract_answer, normalize_answer
+from rsp.core import ContractViolation, apply_step, normalize_answer
 from rsp.inference import (
     count_terminal_nodes,
     decode_tree,
@@ -84,7 +84,7 @@ def test_sbs_follows_the_value_argmax():
     assert len(history) == 2
     assert history[0][0].score == 0.8  # kept "a", not "b"
     assert beam[0].terminal
-    assert beam[0].state.steps[-1].extracted_answer == "50"
+    assert beam[0].state.answer.normalized == "50"
 
 
 def test_sbs_decode_returns_the_top_candidate():
@@ -95,7 +95,7 @@ def test_sbs_decode_returns_the_top_candidate():
     assert report.steps_taken == 2
     assert report.candidates_returned <= 2
     assert report.elapsed_seconds >= 0.0
-    assert extract_answer(report.path.steps[-1]) == report.answer
+    assert report.path.answer == report.answer
 
 
 def test_sbs_finished_candidates_freeze_and_carry_forward():
@@ -121,7 +121,7 @@ def test_sbs_finished_candidates_freeze_and_carry_forward():
     # level 2: the finished candidate's frozen 0.7 beats the 0.1 extension
     assert [c.score for c in history[1]] == [0.7, 0.1]
     assert beam[0].state.has_answer
-    assert beam[0].state.steps[-1].extracted_answer == "9"
+    assert beam[0].state.answer.normalized == "9"
 
 
 def test_sbs_score_ties_keep_insertion_order():

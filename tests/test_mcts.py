@@ -453,6 +453,39 @@ def test_loaded_snapshot_sweeps_like_the_built_tree(config):
                 assert _sweep_trace(loaded, beam_width) == _sweep_trace(tree, beam_width)
 
 
+def _second_root(nodes):
+    nodes.append({**nodes[0], "id": len(nodes)})
+
+
+def _negative_visits(nodes):
+    nodes[1].update(visits=-1, total_value=0.0, q=None)
+
+
+def _total_beyond_visits(nodes):
+    nodes[1]["total_value"] = nodes[1]["visits"] + 0.5
+
+
+def _unknown_parent(nodes):
+    # a step-less entry under a parent id that no earlier node has
+    nodes.append({**nodes[0], "id": len(nodes), "parent_id": len(nodes) + 7})
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_second_root, _negative_visits, _total_beyond_visits, _unknown_parent]
+)
+def test_snapshot_rejects_inconsistent_nodes(corrupt):
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    tree = build_tree(
+        problem.root_state(), problem.gold_answer, backend, SearchConfig(n_simulations=5), seed=5
+    )
+    doc = json.loads(json.dumps(tree_to_snapshot(tree)))
+    snapshot_to_tree(doc)  # the untouched document loads
+    corrupt(doc["nodes"])
+    with pytest.raises(SnapshotError):
+        snapshot_to_tree(doc)
+
+
 def test_snapshot_rejects_other_schema_versions():
     with pytest.raises(SnapshotError) as err:
         snapshot_to_tree({"schema": "rsp-tree/2", "nodes": []})

@@ -58,7 +58,7 @@ def test_wire_round_trip_answer_step():
     assert payload["answer"] == "50"
     back = _step_from_wire(payload)
     assert back.kind is StepKind.ANSWER
-    assert back.extracted_answer == "50"
+    assert back.answer.normalized == "50"
     assert back.text == step.text
 
 
@@ -67,7 +67,7 @@ def test_wire_answer_parsed_from_text_when_field_missing():
     payload = _step_to_wire(step)
     payload["answer"] = None  # server omitted the convenience field
     back = _step_from_wire(payload)
-    assert back.extracted_answer == "126"
+    assert back.answer.normalized == "126"
 
 
 def test_wire_rejects_unknown_kind():

@@ -4,15 +4,19 @@ import base64
 import http.client
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
 
-from rsp.core import STEP_OPEN, ContractViolation, Step, normalize_answer, answers_equivalent
+from rsp.core import STEP_OPEN, ContractViolation, Reward, Step, normalize_answer, answers_equivalent
+from rsp.datagen import harvest_paths
 from rsp.inference import sbs_decode
+from rsp.mcts import SearchConfig, build_tree
 from rsp.policy import (
+    SERVER_POLL_INTERVAL,
     ProposalRequest,
     RemoteBackend,
     TransportError,
@@ -22,7 +26,7 @@ from rsp.policy import (
     serve_backend,
 )
 from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_state_decoder
-from conftest import ScriptedBackend, answer_step, code_step, make_state
+from conftest import ScriptedBackend, answer_step, code_step, make_state, stop_server
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -56,7 +60,11 @@ def _start_stub(script):
         "Handler", (_StubHandler,), {"script": list(script), "requests_seen": [], "headers_seen": []}
     )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": SERVER_POLL_INTERVAL},
+        daemon=True,
+    ).start()
     return server, handler
 
 
@@ -70,7 +78,7 @@ def toy_served():
     inner = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
     server = serve_backend(inner, toy_state_decoder(inner))
     yield problem, inner, RemoteBackend(_url(server), backoff=0.01)
-    server.shutdown()
+    stop_server(server)
 
 
 def test_remote_matches_in_process_backend(toy_served):
@@ -104,7 +112,7 @@ def test_client_sends_version_header():
         assert handler.requests_seen[0]["path"] == "/value"
         assert "state" in handler.requests_seen[0]["body"]
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_server_errors_are_retried_then_succeed():
@@ -118,7 +126,7 @@ def test_server_errors_are_retried_then_succeed():
         assert backend.predict_value(make_state()).value == 0.5
         assert len(handler.requests_seen) == 3
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_persistent_server_errors_become_transport_error():
@@ -131,7 +139,7 @@ def test_persistent_server_errors_become_transport_error():
             backend.predict_value(make_state())
         assert len(handler.requests_seen) == 3  # three attempts, then give up
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_client_errors_are_not_retried():
@@ -144,7 +152,7 @@ def test_client_errors_are_not_retried():
             backend.predict_value(make_state())
         assert len(handler.requests_seen) == 1
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_unreachable_host_is_transport_error():
@@ -164,7 +172,7 @@ def test_out_of_range_value_is_clamped():
         assert backend.predict_value(make_state()).value == 1.0
         assert backend.predict_value(make_state()).value == -1.0
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_duplicate_proposals_trigger_reraise_then_shortfall():
@@ -187,7 +195,7 @@ def test_duplicate_proposals_trigger_reraise_then_shortfall():
         assert len(texts) == len(set(texts)) == 2
         assert len(handler.requests_seen) == 2
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_only_duplicates_yield_shortfall_without_error():
@@ -201,7 +209,7 @@ def test_only_duplicates_yield_shortfall_without_error():
         proposals = backend.propose_steps(request)
         assert len(proposals) == 1  # shortfall accepted after bounded attempts
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def test_empty_proposals_signal_dead_end():
@@ -213,7 +221,70 @@ def test_empty_proposals_signal_dead_end():
         request = ProposalRequest(state=make_state(), n_samples=3, temperature=1.0, seed=0)
         assert backend.propose_steps(request) == []
     finally:
-        server.shutdown()
+        stop_server(server)
+
+
+def test_step_answer_comes_from_the_text_not_the_answer_field():
+    # A v1 peer's "answer" field that disagrees with its own text: the text
+    # wins, so the search reward and the training label grade the same answer.
+    payload = _step_to_wire(answer_step("6"))
+    payload["answer"] = "5"
+    server, handler = _start_stub([(200, {"proposals": [payload]})])
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        config = SearchConfig(n_simulations=4, expansion_width=5)
+        tree = build_tree(make_state(), "6", remote, config, seed=0)
+    finally:
+        stop_server(server)
+    assert len(handler.requests_seen) == 1
+    (child,) = tree.root.children
+    (path,) = harvest_paths([tree])
+    assert child.reward == Reward(1.0)
+    assert path.correct
+    assert child.step.answer.normalized == "6"
+    assert path.predicted_answer == child.step.answer
+
+
+def test_server_close_cuts_off_kept_alive_clients():
+    # More client threads than cores, each with its own kept-alive
+    # connection, and a short switch interval: a connection the server lost
+    # track of would still be answered after server_close().
+    problem = generate_problem(42)
+    inner = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    server = serve_backend(inner, toy_state_decoder(inner))
+    accepted = _count_connections(server)
+    remote = RemoteBackend(_url(server), backoff=0.01)
+    state = problem.root_state()
+    connected = threading.Barrier(5)
+    closed = threading.Event()
+    outcomes = []
+
+    def client():
+        remote.predict_value(state)
+        connected.wait(timeout=30)
+        closed.wait(timeout=30)
+        try:
+            remote.predict_value(state)
+            outcomes.append("served")
+        except TransportError:
+            outcomes.append("cut off")
+
+    threads = [threading.Thread(target=client) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        connected.wait(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        stop_server(server)
+        closed.set()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(accepted) == 4
+    assert outcomes == ["cut off"] * 4
 
 
 def test_propose_on_terminal_state_is_contract_violation():
@@ -251,7 +322,7 @@ def test_remote_search_runs_past_the_default_depth_budget():
         remote = RemoteBackend(_url(server), backoff=0.01)
         over_wire = sbs_decode(question, remote, expansion_width=1, max_depth=12)
     finally:
-        server.shutdown()
+        stop_server(server)
     in_process = sbs_decode(question, scripted, expansion_width=1, max_depth=12)
     assert over_wire.answer is not None and over_wire.answer.normalized == "11"
     assert over_wire.steps_taken == in_process.steps_taken == 12
@@ -290,7 +361,7 @@ def test_rejected_state_fails_after_one_round_trip(monkeypatch):
         with pytest.raises(TransportError, match="400"):
             remote.predict_value(make_state())
     finally:
-        server.shutdown()
+        stop_server(server)
     assert len(calls) == 1
     assert sleeps == []
 
@@ -311,7 +382,7 @@ def test_backend_failures_map_to_client_or_server_errors(monkeypatch, exc, statu
         with pytest.raises(TransportError):
             RemoteBackend(_url(server), backoff=5.0).predict_value(make_state())
     finally:
-        server.shutdown()
+        stop_server(server)
     assert len(calls) == attempts
     assert len(sleeps) == attempts - 1
 
@@ -332,7 +403,7 @@ def test_malformed_requests_are_client_errors():
             assert response.status_code == 400, body
             assert "error" in response.json()
     finally:
-        server.shutdown()
+        stop_server(server)
 
 
 def _count_connections(server):
@@ -365,8 +436,7 @@ def test_one_backend_keeps_one_connection():
             else:
                 assert remote.propose_steps(request)
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert len(accepted) == 1
 
 
@@ -394,8 +464,7 @@ def test_replies_leave_the_connection_at_a_request_boundary():
                 assert response.status_code == 200, path
                 assert response.json() == {"value": 0.0}
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert len(accepted) == 1
 
 
@@ -411,8 +480,7 @@ def test_missing_content_length_is_a_client_error_that_closes():
         assert "Content-Length" in json.loads(response.read())["error"]
         connection.close()
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
 
 
 def test_wire_version_mismatch_is_refused_without_retry(monkeypatch):
@@ -440,8 +508,7 @@ def test_wire_version_mismatch_is_refused_without_retry(monkeypatch):
         assert response.status_code == 200
         assert response.headers[VERSION_HEADER] == WIRE_VERSION
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert len(calls) == 1
 
 
@@ -463,8 +530,7 @@ def test_environment_proxy_is_honoured(monkeypatch):
             RemoteBackend(_url(server), backoff=0.01, max_attempts=1).predict_value(make_state())
         assert handler.requests_seen == []  # the request went to the proxy
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
 
 
 def test_no_proxy_bypasses_the_environment_proxy(monkeypatch):
@@ -474,8 +540,7 @@ def test_no_proxy_bypasses_the_environment_proxy(monkeypatch):
         remote = RemoteBackend(_url(server), backoff=0.01, max_attempts=1)
         assert remote.predict_value(make_state()).value == 0.25
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
 
 
 def test_environment_is_read_once_per_session(monkeypatch):
@@ -495,8 +560,7 @@ def test_environment_is_read_once_per_session(monkeypatch):
         for _ in range(50):
             assert remote.predict_value(make_state()).value == 0.25
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert len(handler.requests_seen) == 50
     assert len(lookups) == 1
 
@@ -520,8 +584,7 @@ def test_netrc_and_ca_bundle_settings_are_kept(monkeypatch, tmp_path):
         remote = RemoteBackend(_url(server), backoff=0.01)
         assert remote.predict_value(make_state()).value == 0.25
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_server(server)
     assert verify == [str(tmp_path / "ca.pem")]
     auth = base64.b64encode(b"user:secret").decode()
     assert handler.headers_seen[0]["Authorization"] == f"Basic {auth}"
