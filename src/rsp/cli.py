@@ -32,6 +32,7 @@ from .datagen import (
     select_for_round,
 )
 from .inference import (
+    MCTS_DECODE_TEMPERATURE,
     decode_tree,
     greedy_decode,
     inference_search_config,
@@ -220,7 +221,7 @@ def _load_dataset(path: str, require_gold: bool) -> list[dict]:
 def _strategy_temperature(settings: dict) -> float:
     if settings["temperature"] is not None:
         return settings["temperature"]
-    return 0.6 if settings["strategy"] == "mcts" else 1.0
+    return MCTS_DECODE_TEMPERATURE if settings["strategy"] == "mcts" else 1.0
 
 
 def _solve_search_config(settings: dict) -> SearchConfig:

@@ -167,15 +167,6 @@ def select_for_round(
     return chosen + negatives
 
 
-def value_loss(
-    targets: Sequence[float], predictions: Sequence[float], beta: float = 0.01
-) -> float:
-    """Weighted sum of squared per-step value errors."""
-    if len(targets) != len(predictions):
-        raise ContractViolation("targets and predictions must align")
-    return beta * sum((p - t) ** 2 for t, p in zip(targets, predictions))
-
-
 @dataclass(frozen=True)
 class DatasetManifest:
     round: int

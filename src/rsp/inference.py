@@ -31,6 +31,10 @@ from .mcts import (
 )
 from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend, ProposalRequest
 
+# Sampling temperature for decode-time trees, below the 1.0 that beam
+# search, majority vote and training-time trees sample at.
+MCTS_DECODE_TEMPERATURE = 0.6
+
 
 @dataclass(frozen=True)
 class BeamCandidate:
@@ -77,11 +81,11 @@ def sbs_search(
     """Step-level beam search; returns the final beam and per-step history.
 
     Every live candidate is extended by up to ``expansion_width`` sampled
-    steps, each extension scored by the value model; the pooled extensions
-    (plus finished candidates, whose scores are frozen) are cut back to the
-    best ``beam_width`` by score, ties resolved by insertion order. Stops
-    when every candidate is finished, the depth budget runs out, or all
-    live candidates dead-end.
+    steps, each extension scored by the value model (each distinct state
+    once per call); the pooled extensions (plus finished candidates, whose
+    scores are frozen) are cut back to the best ``beam_width`` by score,
+    ties resolved by insertion order. Stops when every candidate is
+    finished, the depth budget runs out, or all live candidates dead-end.
     """
     if beam_width < 1 or expansion_width < 1:
         raise ContractViolation("beam_width and expansion_width must be >= 1")
@@ -89,6 +93,10 @@ def sbs_search(
         raise ContractViolation("cannot decode from a terminal state")
     rng = random.Random(seed)
     beam = [BeamCandidate(state=question, score=0.0, terminal=False)] * beam_width
+    # Each distinct state is valued once per search: the starting copies of
+    # the question, and candidates that sample the same step, meet equal
+    # extensions.
+    scores: dict[ReasoningState, float] = {}
     history: list[list[BeamCandidate]] = []
     steps_taken = 0
     while steps_taken < max_depth and any(not c.terminal for c in beam):
@@ -107,7 +115,9 @@ def sbs_search(
             )
             for proposal in proposals:
                 extended = apply_step(candidate.state, proposal.step, max_depth)
-                score = backend.predict_value(extended).value
+                score = scores.get(extended)
+                if score is None:
+                    score = scores[extended] = backend.predict_value(extended).value
                 pool.append(
                     BeamCandidate(
                         state=extended,
@@ -147,16 +157,19 @@ def greedy_decode(
     backend: PolicyValueBackend,
     max_depth: int = 8,
 ) -> InferenceReport:
-    """Follow the backend's single most likely step until termination."""
-    return sbs_decode(
-        question,
-        backend,
-        beam_width=1,
-        expansion_width=1,
-        max_depth=max_depth,
-        temperature=DETERMINISTIC_TEMPERATURE,
-        seed=0,
+    """Follow the backend's single most likely step until termination.
+
+    This is beam search with one candidate and one extension, whose pool of
+    one is never cut, so it sends the same proposal requests (seeds drawn
+    from ``Random(0)``) and asks for no values.
+    """
+    if is_terminal(question, max_depth):
+        raise ContractViolation("cannot decode from a terminal state")
+    started = time.perf_counter()
+    state = _sample_path(
+        question, backend, DETERMINISTIC_TEMPERATURE, max_depth, random.Random(0)
     )
+    return _finish(state, started, 1)
 
 
 def q_sweep(
@@ -194,7 +207,10 @@ def q_sweep(
 def inference_search_config(**overrides) -> SearchConfig:
     """Search settings for decode-time trees: model-only evaluation and the
     lower sampling temperature used when building inference trees."""
-    settings = {"evaluation": EvaluationMode.MODEL_ONLY, "temperature": 0.6}
+    settings = {
+        "evaluation": EvaluationMode.MODEL_ONLY,
+        "temperature": MCTS_DECODE_TEMPERATURE,
+    }
     settings.update(overrides)
     return SearchConfig(**settings)
 

@@ -204,16 +204,21 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
 
 
 def evaluate(node: SearchNode, backend: PolicyValueBackend, config: SearchConfig) -> float:
-    """Score a node for backup according to the evaluation mode."""
+    """Score a node for backup according to the evaluation mode.
+
+    A node's model value is asked of the backend once and stored; later
+    evaluations of the same node reuse it (a value is a function of the
+    state).
+    """
     if config.evaluation is EvaluationMode.TERMINAL_REWARD and node.terminal:
         if node.reward is None:
             raise ContractViolation(
                 "terminal node has no reward; training-mode search needs a gold answer"
             )
         return node.reward.value
-    prediction = backend.predict_value(node.state)
-    node.stats.model_value = prediction.value
-    return prediction.value
+    if node.stats.model_value is None:
+        node.stats.model_value = backend.predict_value(node.state).value
+    return node.stats.model_value
 
 
 def backup(path: list[SearchNode], value: float) -> None:
@@ -234,8 +239,10 @@ def run_simulation(tree: SearchTree, backend: PolicyValueBackend) -> None:
     """One select/expand/evaluate/backup cycle.
 
     When selection ends at an already-terminal leaf, that leaf is re-scored
-    per the evaluation mode and backed up again. Otherwise the leaf is
-    expanded and every new child is evaluated and backed up its own path.
+    per the evaluation mode and backed up again; under model-only
+    evaluation a revisited terminal leaf backs up its stored model value
+    without asking the backend again. Otherwise the leaf is expanded and
+    every new child is evaluated and backed up its own path.
     """
     path = select(tree)
     leaf = path[-1]
@@ -422,9 +429,11 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
 
     Generation metadata that the snapshot does not carry (code outputs,
     error flags) is not restored; ranking state (visits, totals, rewards,
-    terminal flags, child order) is. A second root, a parent that is not an
-    earlier node, negative visits or ``|total_value| > visits`` is a
-    SnapshotError.
+    terminal flags, child order) is. A second root, a repeated node id, a
+    parent that is not an earlier node, a non-root node without a step,
+    negative visits, ``|total_value| > visits``, a depth other than the
+    parent's plus one or a ``q`` other than ``total_value / visits`` (null
+    at zero visits) is a SnapshotError.
     """
     schema = doc.get("schema")
     if schema != SNAPSHOT_SCHEMA:
@@ -448,7 +457,9 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
         by_id: dict[int, SearchNode] = {}
         root: SearchNode | None = None
         for entry in doc["nodes"]:
-            parent_id = entry["parent_id"]
+            node_id, parent_id = entry["id"], entry["parent_id"]
+            if node_id in by_id:
+                raise SnapshotError(f"node id {node_id} appears twice")
             if parent_id is None:
                 if root is not None:
                     raise SnapshotError("snapshot has a second root node")
@@ -457,16 +468,27 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
                 parent = by_id.get(parent_id)
                 if parent is None:
                     raise SnapshotError(
-                        f"node {entry['id']} names parent {parent_id}, "
+                        f"node {node_id} names parent {parent_id}, "
                         "which is not an earlier node"
+                    )
+                if entry["depth"] != parent.depth + 1:
+                    raise SnapshotError(
+                        f"node {node_id} has depth {entry['depth']} under a "
+                        f"parent at depth {parent.depth}"
                     )
             visits, total_value = entry["visits"], entry["total_value"]
             if visits < 0 or abs(total_value) > visits:
                 raise SnapshotError(
-                    f"node {entry['id']} has visits {visits} and total value "
+                    f"node {node_id} has visits {visits} and total value "
                     f"{total_value}; values lie in [-1, 1]"
                 )
+            if entry["q"] != (total_value / visits if visits else None):
+                raise SnapshotError(
+                    f"node {node_id} has q {entry['q']}, not total value / visits"
+                )
             if entry["step_text"] is None:
+                if parent is not None:
+                    raise SnapshotError(f"non-root node {node_id} has no step")
                 step = None
                 state = question
             else:
@@ -495,7 +517,7 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
                 terminal=entry["terminal"],
                 reward=Reward(entry["reward"]) if entry["reward"] is not None else None,
             )
-            by_id[entry["id"]] = node
+            by_id[node_id] = node
             if parent is None:
                 root = node
             else:

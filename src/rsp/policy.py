@@ -92,7 +92,13 @@ class PolicyValueBackend(ABC):
 
     @abstractmethod
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
-        """Return the scalar value estimate for ``state``."""
+        """Return the scalar value estimate for ``state``.
+
+        The value must be a function of the state: equal states get equal
+        values. Searches rely on this and ask for each distinct state's
+        value at most once per search (tree search stores it on the node,
+        beam search memoizes it for the call, greedy decoding asks none).
+        """
 
 
 def dedupe_proposals(proposals: list[Proposal]) -> list[Proposal]:

@@ -522,7 +522,7 @@ def _snap_node(node_id, parent_id, *, q=None, visits=1, terminal=False,
         "prior": 0.5 if parent_id is not None else 1.0,
         "visits": visits,
         "total_value": total,
-        "q": q if visits else None,
+        "q": total / visits if visits else None,
         "model_value": None,
         "terminal": terminal,
         "reward": None,

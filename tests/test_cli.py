@@ -73,7 +73,8 @@ def test_solve_preserves_input_order_across_jobs(tmp_path):
     out = tmp_path / "report.json"
     assert main(["solve", dataset, "--jobs", "4", "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
-    want = [json.loads(line)["id"] for line in open(dataset, encoding="utf-8")]
+    with open(dataset, encoding="utf-8") as rows:
+        want = [json.loads(line)["id"] for line in rows]
     assert [e["id"] for e in report["reports"]] == want
 
 

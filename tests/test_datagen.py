@@ -16,7 +16,6 @@ from rsp.datagen import (
     harvest_paths,
     manifest_path_for,
     select_for_round,
-    value_loss,
 )
 from rsp.mcts import EvaluationMode, SearchConfig, build_tree
 from rsp.toyenv import ToyBackend, generate_problem
@@ -247,19 +246,6 @@ def test_selection_is_deterministic_per_seed():
     assert set(p.path_index for p in first) <= set(range(10))
     with pytest.raises(ContractViolation):
         select_for_round(pool, max_pos=-1, max_neg=0)
-
-
-def test_value_loss_reference_point():
-    assert value_loss([1.0, -1.0], [0.5, -0.5], beta=0.1) == pytest.approx(
-        0.05, abs=1e-6
-    )
-
-
-def test_value_loss_default_weight_and_guards():
-    assert value_loss([0.0], [0.0]) == 0.0
-    assert value_loss([1.0], [0.0]) == pytest.approx(0.01, abs=1e-12)
-    with pytest.raises(ContractViolation):
-        value_loss([1.0], [0.5, 0.5])
 
 
 def test_manifest_counts_and_ratio():

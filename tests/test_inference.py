@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, apply_step, normalize_answer
+from rsp.core import ContractViolation, ReasoningState, apply_step, normalize_answer
 from rsp.inference import (
     count_terminal_nodes,
     decode_tree,
@@ -22,7 +22,7 @@ from rsp.policy import (
     Proposal,
     ValuePrediction,
 )
-from rsp.toyenv import Mode, ToyBackend, generate_problem
+from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_corpus
 
 
 def tree_node(prior=0.5, visits=0, total=0.0, terminal=False, reward=None, depth=0):
@@ -85,6 +85,22 @@ def test_sbs_follows_the_value_argmax():
     assert history[0][0].score == 0.8  # kept "a", not "b"
     assert beam[0].terminal
     assert beam[0].state.answer.normalized == "50"
+
+
+def test_sbs_values_each_distinct_state_once():
+    # the beam starts as three copies of the question, so every level meets
+    # each extension three times; ties keep insertion order, so the copies
+    # stay together
+    q, backend = two_level_script()
+    beam, history = sbs_search(q, backend, beam_width=3, expansion_width=2)
+    q_a = apply_step(q, code_step(analysis="a"))
+    q_win = apply_step(q_a, answer_step("50"))
+    assert [[(c.state, c.score, c.terminal) for c in level] for level in history] == [
+        [(q_a, 0.8, False)] * 3,
+        [(q_win, 0.9, True)] * 3,
+    ]
+    assert beam == history[-1]
+    assert len(backend.value_calls) == len(set(backend.value_calls)) == 4
 
 
 def test_sbs_decode_returns_the_top_candidate():
@@ -208,20 +224,48 @@ def test_sbs_guards():
         sbs_search(answered, backend, beam_width=1, expansion_width=1)
 
 
+class RecordingBackend(PolicyValueBackend):
+    """Passes calls through to ``inner`` and records every request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.proposals: list[tuple] = []
+        self.values: list[ReasoningState] = []
+
+    def propose_steps(self, request):
+        self.proposals.append(
+            (request.state, request.n_samples, request.temperature, request.seed)
+        )
+        return self.inner.propose_steps(request)
+
+    def predict_value(self, state):
+        self.values.append(state)
+        return self.inner.predict_value(state)
+
+
 def test_greedy_is_beam_one_at_deterministic_temperature():
-    problem = generate_problem(6)
-    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
-    greedy = greedy_decode(problem.root_state(), backend)
-    explicit = sbs_decode(
-        problem.root_state(),
-        backend,
-        beam_width=1,
-        expansion_width=1,
-        temperature=DETERMINISTIC_TEMPERATURE,
-        seed=0,
-    )
-    assert [s.text for s in greedy.path.steps] == [s.text for s in explicit.path.steps]
-    assert (greedy.answer is None) == (explicit.answer is None)
+    # the same proposal requests as a one-wide beam, and no value requests:
+    # a pool of one is never cut
+    for problem in toy_corpus(8, seed=6):
+        inner = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+        greedy_backend, beam_backend = RecordingBackend(inner), RecordingBackend(inner)
+        greedy = greedy_decode(problem.root_state(), greedy_backend)
+        explicit = sbs_decode(
+            problem.root_state(),
+            beam_backend,
+            beam_width=1,
+            expansion_width=1,
+            temperature=DETERMINISTIC_TEMPERATURE,
+            seed=0,
+        )
+        assert greedy_backend.proposals == beam_backend.proposals
+        assert greedy_backend.values == []
+        assert greedy.path == explicit.path and greedy.answer == explicit.answer
+        assert greedy.steps_taken == explicit.steps_taken
+        assert greedy.candidates_returned == explicit.candidates_returned == 1
+    answered = make_state(steps=(answer_step(),))
+    with pytest.raises(ContractViolation):
+        greedy_decode(answered, ScriptedBackend({}))
 
 
 def test_q_sweep_follows_the_stored_edge_values():

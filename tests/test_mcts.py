@@ -264,6 +264,29 @@ def test_terminal_leaf_revisits_back_up_again():
     assert child.stats.q() == 1.0
 
 
+def test_model_only_search_values_each_state_once():
+    # question -> {answer (0.5), code step (0.25)}; the code step dead-ends.
+    # Selection keeps landing on the answer leaf, and once on the dead end:
+    # both back up their stored value instead of asking the backend again.
+    state = make_state()
+    answer, dead_end = answer_step(), code_step()
+    answered = apply_step(state, answer)
+    stuck = apply_step(state, dead_end)
+    backend = ScriptedBackend(
+        {state.render(): [answer, dead_end]},
+        values={answered.render(): 0.5, stuck.render(): 0.25},
+    )
+    config = SearchConfig(n_simulations=6, evaluation=EvaluationMode.MODEL_ONLY)
+    tree = build_tree(state, None, backend, config)
+    leaf, stuck_node = tree.root.children
+    assert leaf.terminal and stuck_node.terminal  # the dead end became terminal
+    assert leaf.stats.visits >= 2 and stuck_node.stats.visits == 2
+    assert sorted(backend.value_calls) == sorted({answered.render(), stuck.render()})
+    assert leaf.stats.total_value == 0.5 * leaf.stats.visits
+    assert stuck_node.stats.total_value == 0.25 * 2
+    assert tree.total_evaluations == tree.total_backups > len(backend.value_calls)
+
+
 def test_single_path_root_edge_converges_to_plus_one():
     problem = single_answer_problem(correct=True)
     backend = ToyBackend.for_corpus([problem])
@@ -470,8 +493,48 @@ def _unknown_parent(nodes):
     nodes.append({**nodes[0], "id": len(nodes), "parent_id": len(nodes) + 7})
 
 
+# The last node in preorder is a leaf, so doctoring it leaves every other
+# node loadable.
+
+
+def _stepless_child(nodes):
+    nodes[-1]["step_text"] = None
+
+
+def _repeated_id(nodes):
+    nodes[-1]["id"] = nodes[1]["id"]
+
+
+def _depth_skips_a_level(nodes):
+    nodes[-1]["depth"] += 1
+
+
+def _q_off_the_average(nodes):
+    nodes[-1]["q"] += 0.125
+
+
+def _q_null_after_visits(nodes):
+    nodes[-1]["q"] = None
+
+
+def _q_without_visits(nodes):
+    nodes[-1].update(visits=0, total_value=0.0)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_second_root, _negative_visits, _total_beyond_visits, _unknown_parent]
+    "corrupt",
+    [
+        _second_root,
+        _negative_visits,
+        _total_beyond_visits,
+        _unknown_parent,
+        _stepless_child,
+        _repeated_id,
+        _depth_skips_a_level,
+        _q_off_the_average,
+        _q_null_after_visits,
+        _q_without_visits,
+    ],
 )
 def test_snapshot_rejects_inconsistent_nodes(corrupt):
     problem = generate_problem(44)
