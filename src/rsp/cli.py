@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import (
@@ -73,22 +73,15 @@ class EvalSummary:
     strategy: str
     n_questions: int
     n_solutions: int
-    accuracy: float | None
     avg_time_s: float
     avg_steps: float
     avg_candidates: float
+    accuracy: float | None  # None, and left out of the report, without golds
 
     def to_dict(self) -> dict:
-        out = {
-            "strategy": self.strategy,
-            "n_questions": self.n_questions,
-            "n_solutions": self.n_solutions,
-            "avg_time_s": self.avg_time_s,
-            "avg_steps": self.avg_steps,
-            "avg_candidates": self.avg_candidates,
-        }
-        if self.accuracy is not None:
-            out["accuracy"] = self.accuracy
+        out = asdict(self)
+        if self.accuracy is None:
+            del out["accuracy"]
         return out
 
 
@@ -353,10 +346,10 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
         strategy=settings["strategy"],
         n_questions=len(entries),
         n_solutions=sum(1 for e in entries if e["answer"] is not None),
-        accuracy=accuracy,
         avg_time_s=sum(e["elapsed_seconds"] for e in entries) / n,
         avg_steps=sum(e["steps"] for e in entries) / n,
         avg_candidates=sum(e["candidates"] for e in entries) / n,
+        accuracy=accuracy,
     )
     # the merged settings (seed included) ride along so any run, in
     # particular one against a remote model server, stays auditable

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -177,14 +177,7 @@ class DatasetManifest:
     pos_neg_ratio: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "trees_per_question": self.trees_per_question,
-            "max_pos": self.max_pos,
-            "max_neg": self.max_neg,
-            "records": self.records,
-            "pos_neg_ratio": self.pos_neg_ratio,
-        }
+        return asdict(self)
 
 
 def build_manifest(

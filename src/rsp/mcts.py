@@ -61,8 +61,8 @@ class SearchConfig:
     q_init: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c_puct <= 0:
-            raise ContractViolation("c_puct must be > 0")
+        if not 0 < self.c_puct < math.inf:
+            raise ContractViolation(f"c_puct must be a finite number > 0, not {self.c_puct!r}")
         if self.n_simulations < 1:
             raise ContractViolation("n_simulations must be >= 1")
         if self.expansion_width < 1:
@@ -71,6 +71,8 @@ class SearchConfig:
             raise ContractViolation("max_depth must be >= 1")
         if not self.temperature > 0:
             raise ContractViolation("temperature must be > 0")
+        if not math.isfinite(self.q_init):
+            raise ContractViolation(f"q_init must be a finite number, not {self.q_init!r}")
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import threading
 import time
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .core import (
     ContractViolation,
@@ -154,7 +156,11 @@ class RemoteBackend(PolicyValueBackend):
     retried up to ``max_attempts`` times with exponential backoff. Each
     thread keeps one session, and so one persistent connection, and reads
     the environment's proxy, CA bundle and netrc settings when its session
-    is created.
+    is created. It also prepares one request per endpoint, once, and sends
+    each call through the session's adapter with only the body replaced:
+    redirects are not followed (a 3xx is fatal, like any other non-200 below
+    500) and no cookies are kept. A body holding a non-finite number is a
+    ContractViolation before anything is sent.
     """
 
     def __init__(
@@ -170,9 +176,12 @@ class RemoteBackend(PolicyValueBackend):
         self.backoff = backoff
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
+    def _endpoint(self, path: str) -> tuple[requests.Session, HTTPAdapter, requests.PreparedRequest]:
+        """This thread's session, the adapter it sends through, and the
+        prepared request for ``path``, each built once per thread."""
+        local = self._local
+        prepared = getattr(local, "prepared", None)
+        if prepared is None:
             session = requests.Session()
             # Resolve the environment's proxy (and no_proxy), CA bundle and
             # netrc settings for base_url once, here: with trust_env on,
@@ -184,20 +193,50 @@ class RemoteBackend(PolicyValueBackend):
             session.verify = settings["verify"]
             session.auth = requests.utils.get_netrc_auth(self.base_url)
             session.trust_env = False
-            self._local.session = session
-        return session
+            local.adapter = session.get_adapter(self.base_url)
+            local.session = session
+            prepared = local.prepared = {}
+        template = prepared.get(path)
+        if template is None:
+            # Prepared as a JSON post, so it carries Content-Type and the
+            # headers come in the order a json= post sends them; each send
+            # replaces the placeholder body.
+            template = prepared[path] = local.session.prepare_request(
+                requests.Request(
+                    "POST",
+                    f"{self.base_url}{path}",
+                    headers={VERSION_HEADER: WIRE_VERSION},
+                    json={},
+                )
+            )
+        return local.session, local.adapter, template
 
     def _post(self, path: str, body: dict) -> dict:
-        url = f"{self.base_url}{path}"
-        headers = {VERSION_HEADER: WIRE_VERSION}
+        try:
+            blob = json.dumps(body, allow_nan=False).encode()
+        except ValueError:
+            bad = ", ".join(
+                f"{key}={value!r}"
+                for key, value in body.items()
+                if isinstance(value, float) and not math.isfinite(value)
+            )
+            raise ContractViolation(f"POST {path}: {bad} is not a finite number") from None
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                response = self._session().post(
-                    url, json=body, headers=headers, timeout=self.timeout
+                session, adapter, template = self._endpoint(path)
+                request = template.copy()
+                request.prepare_body(blob, None)
+                response = adapter.send(
+                    request,
+                    timeout=self.timeout,
+                    verify=session.verify,
+                    cert=session.cert,
+                    proxies=session.proxies,
                 )
+                response.content  # read in full: the connection goes back to the pool
                 if response.status_code >= 500:
                     last_error = TransportError(
                         f"{path} returned {response.status_code}"

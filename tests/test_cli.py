@@ -167,6 +167,8 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
         ["--strategy", "sbs", "--b2", "0"],
         ["--strategy", "mcts", "--c-puct", "-1"],
         ["--strategy", "mcts", "--n-sims", "0"],
+        ["--strategy", "mcts", "--toy-mode", "oracle", "--c-puct", "nan"],
+        ["--strategy", "mcts", "--c-puct", "inf"],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -301,6 +303,7 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
         ["--trees-per-question", "-1"],
         ["--max-pos", "-1"],
         ["--max-neg", "-1"],
+        ["--c-puct", "nan"],
     ],
 )
 def test_generate_rejects_invalid_settings_before_writing(tmp_path, capsys, flags):

@@ -83,6 +83,15 @@ def test_puct_unvisited_child_uses_q_init():
     assert score == pytest.approx(-0.25 + 0.5 * 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["c_puct", "q_init"])
+def test_search_config_rejects_non_finite_numbers(name, value):
+    # a NaN score compares false both ways, so select would always take the
+    # first child
+    with pytest.raises(ContractViolation, match=name):
+        SearchConfig(**{name: value})
+
+
 def test_select_breaks_ties_toward_the_earlier_child():
     tree = fresh_tree()
     root = tree.root

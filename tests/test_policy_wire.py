@@ -30,7 +30,8 @@ from conftest import ScriptedBackend, answer_step, code_step, make_state, stop_s
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, payload) responses."""
+    """Replays a scripted list of (status, payload) responses; a 3xx
+    redirects to /moved."""
 
     script: list[tuple[int, dict]] = []
     requests_seen: list[dict] = []
@@ -41,14 +42,19 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length) or b"{}")
-        type(self).requests_seen.append({"path": self.path, "body": body})
+        raw = self.rfile.read(length)
+        body = json.loads(raw or b"{}")
+        type(self).requests_seen.append(
+            {"method": self.command, "path": self.path, "body": body, "raw": raw}
+        )
         type(self).headers_seen.append(dict(self.headers))
         status, payload = (
             self.script.pop(0) if self.script else (500, {"error": "script empty"})
         )
         data = json.dumps(payload).encode()
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", "/moved")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -488,18 +494,19 @@ def test_wire_version_mismatch_is_refused_without_retry(monkeypatch):
     monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
     calls = []
     server = serve_backend(ScriptedBackend({}), _counting_decoder(calls))
+    send, sent = requests.adapters.HTTPAdapter.send, []
+
+    def send_as_version_0(adapter, request, **kwargs):
+        sent.append(request.url)
+        request.headers[VERSION_HEADER] = "0"
+        return send(adapter, request, **kwargs)
+
     try:
         remote = RemoteBackend(_url(server), backoff=5.0)
-        session = remote._session()
-        post, sent = session.post, []
-
-        def post_as_version_0(url, headers, **kwargs):
-            sent.append(url)
-            return post(url, headers={**headers, VERSION_HEADER: "0"}, **kwargs)
-
-        session.post = post_as_version_0
-        with pytest.raises(TransportError, match="400"):
-            remote.predict_value(make_state())
+        with monkeypatch.context() as patch:
+            patch.setattr(requests.adapters.HTTPAdapter, "send", send_as_version_0)
+            with pytest.raises(TransportError, match="400"):
+                remote.predict_value(make_state())
         assert len(sent) == 1
         assert sleeps == []
         assert calls == []  # refused before the state is decoded
@@ -588,3 +595,99 @@ def test_netrc_and_ca_bundle_settings_are_kept(monkeypatch, tmp_path):
     assert verify == [str(tmp_path / "ca.pem")]
     auth = base64.b64encode(b"user:secret").decode()
     assert handler.headers_seen[0]["Authorization"] == f"Basic {auth}"
+
+
+def test_client_sends_exactly_these_requests(monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    proposals = [_step_to_wire(code_step(analysis=a)) for a in ("a", "b")]
+    server, handler = _start_stub([(200, {"value": 0.25}), (200, {"proposals": proposals})])
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        remote.predict_value(make_state())
+        remote.propose_steps(
+            ProposalRequest(state=make_state(), n_samples=2, temperature=0.7, seed=3)
+        )
+    finally:
+        stop_server(server)
+    value_body = b'{"state": "<question>\\nwhat\\n</question>\\n"}'
+    propose_body = (
+        b'{"state": "<question>\\nwhat\\n</question>\\n", '
+        b'"n_samples": 2, "temperature": 0.7, "seed": 3}'
+    )
+    assert [(r["method"], r["path"], r["raw"]) for r in handler.requests_seen] == [
+        ("POST", "/value", value_body),
+        ("POST", "/propose", propose_body),
+    ]
+    named = ("x-rsp-version", "Content-Type", "Content-Length", "Authorization")
+    for headers, length in zip(handler.headers_seen, ("44", "91")):
+        assert {name.lower() for name in headers} == {
+            "host", "user-agent", "accept-encoding", "accept", "connection",
+            "x-rsp-version", "content-type", "content-length", "authorization",
+        }
+        assert {name: headers[name] for name in named} == {
+            "x-rsp-version": "1",
+            "Content-Type": "application/json",
+            "Content-Length": length,
+            "Authorization": "Basic dXNlcjpzZWNyZXQ=",
+        }
+
+
+def test_each_endpoint_is_prepared_once_per_thread(monkeypatch, toy_served):
+    problem, _, remote = toy_served
+    prepared = []
+    prepare = requests.Session.prepare_request
+
+    def counting(session, request):
+        prepared.append(request.url)
+        return prepare(session, request)
+
+    monkeypatch.setattr(requests.Session, "prepare_request", counting)
+    request = ProposalRequest(state=problem.root_state(), n_samples=3, temperature=1.0, seed=1)
+
+    def fifty_of_each():
+        for _ in range(50):
+            remote.predict_value(problem.root_state())
+            remote.propose_steps(request)
+
+    fifty_of_each()
+    assert len(prepared) == 2
+    thread = threading.Thread(target=fifty_of_each)
+    thread.start()
+    thread.join(timeout=30)
+    assert len(prepared) == 4
+
+
+def test_a_redirect_is_fatal_and_not_followed(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    server, handler = _start_stub([(307, {"error": "moved"}), (200, {"value": 0.25})])
+    try:
+        with pytest.raises(TransportError, match="307"):
+            RemoteBackend(_url(server), backoff=5.0).predict_value(make_state())
+    finally:
+        stop_server(server)
+    assert [r["path"] for r in handler.requests_seen] == ["/value"]
+    assert sleeps == []
+
+
+def test_non_finite_numbers_are_refused_before_the_wire(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    server, handler = _start_stub([(200, {"proposals": []})])
+    request = ProposalRequest(state=make_state(), n_samples=2, temperature=float("inf"), seed=0)
+    try:
+        with pytest.raises(ContractViolation, match="temperature=inf"):
+            RemoteBackend(_url(server), backoff=5.0).propose_steps(request)
+    finally:
+        stop_server(server)
+    assert handler.requests_seen == []
+    assert sleeps == []
+    # the in-process toy backend still samples at this temperature
+    problem = generate_problem(42)
+    toy = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    assert toy.propose_steps(
+        ProposalRequest(state=problem.root_state(), n_samples=2, temperature=float("inf"), seed=0)
+    )
