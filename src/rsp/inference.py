@@ -82,7 +82,8 @@ def sbs_search(
 
     Every live candidate is extended by up to ``expansion_width`` sampled
     steps, each extension scored by the value model (each distinct state
-    once per call); the pooled extensions (plus finished candidates, whose
+    once per call, from the value attached to its proposal when the backend
+    attaches one); the pooled extensions (plus finished candidates, whose
     scores are frozen) are cut back to the best ``beam_width`` by score,
     ties resolved by insertion order. Stops when every candidate is
     finished, the depth budget runs out, or all live candidates dead-end.
@@ -111,13 +112,17 @@ def sbs_search(
                     n_samples=expansion_width,
                     temperature=temperature,
                     seed=rng.randrange(2**63),
+                    with_values=True,
                 )
             )
             for proposal in proposals:
                 extended = apply_step(candidate.state, proposal.step, max_depth)
                 score = scores.get(extended)
                 if score is None:
-                    score = scores[extended] = backend.predict_value(extended).value
+                    score = proposal.value
+                    if score is None:
+                        score = backend.predict_value(extended).value
+                    scores[extended] = score
                 pool.append(
                     BeamCandidate(
                         state=extended,

@@ -69,8 +69,10 @@ class SearchConfig:
             raise ContractViolation("expansion_width must be >= 1")
         if self.max_depth < 1:
             raise ContractViolation("max_depth must be >= 1")
-        if not self.temperature > 0:
-            raise ContractViolation("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ContractViolation(
+                f"temperature must be a finite number > 0, not {self.temperature!r}"
+            )
         if not math.isfinite(self.q_init):
             raise ContractViolation(f"q_init must be a finite number, not {self.q_init!r}")
 
@@ -161,7 +163,9 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
     (reward from gold-answer correctness when a gold answer is known), and a
     child at the depth budget without an answer terminates with reward -1.
     A backend returning no proposals turns the leaf itself into a terminal
-    dead end with reward -1.
+    dead end with reward -1. Every new child is about to be evaluated, so
+    the request asks for values; one the backend attaches becomes the
+    child's stored model value.
     """
     if leaf.terminal:
         raise ContractViolation("cannot expand a terminal node")
@@ -173,6 +177,7 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
         n_samples=cfg.expansion_width,
         temperature=cfg.temperature,
         seed=tree.rng.randrange(2**63),
+        with_values=True,
     )
     proposals = backend.propose_steps(request)
     if not proposals:
@@ -194,7 +199,7 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
             reward = Reward(-1.0)
         child = SearchNode(
             state=child_state,
-            stats=NodeStats(prior=step.prior),
+            stats=NodeStats(prior=step.prior, model_value=proposal.value),
             step=step,
             depth=child_state.depth,
             terminal=terminal,
@@ -435,7 +440,9 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
     parent that is not an earlier node, a non-root node without a step,
     negative visits, ``|total_value| > visits``, a depth other than the
     parent's plus one or a ``q`` other than ``total_value / visits`` (null
-    at zero visits) is a SnapshotError.
+    at zero visits) is a SnapshotError, and so is any EngineError raised
+    while rebuilding (a config the search refuses, a step text that is not
+    a step).
     """
     schema = doc.get("schema")
     if schema != SNAPSHOT_SCHEMA:
@@ -526,7 +533,9 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
                 parent.children.append(node)
         if root is None:
             raise SnapshotError("snapshot has no root node")
-    except (KeyError, TypeError, ValueError) as exc:
+    except SnapshotError:
+        raise
+    except (KeyError, TypeError, ValueError, EngineError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     gold = doc.get("gold_answer")
     return SearchTree(

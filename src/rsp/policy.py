@@ -16,6 +16,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -49,12 +50,17 @@ class TransportError(EngineError):
 
 @dataclass(frozen=True)
 class ProposalRequest:
-    """A request for up to ``n_samples`` distinct next steps."""
+    """A request for up to ``n_samples`` distinct next steps.
+
+    ``with_values`` tells the backend that the caller is about to value
+    every proposed state, so it may attach those values to the proposals.
+    """
 
     state: ReasoningState
     n_samples: int
     temperature: float
     seed: int | None = None
+    with_values: bool = False
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -65,7 +71,11 @@ class ProposalRequest:
 
 @dataclass(frozen=True)
 class Proposal:
+    """A proposed next step; ``value``, when a backend attaches one, is the
+    value of the requesting state plus this step."""
+
     step: Step
+    value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,13 @@ class PolicyValueBackend(ABC):
 
         An empty list signals a dead end: the state has no legal
         continuation. Duplicate completions must be merged, not repeated.
+
+        When ``request.with_values`` is set, a backend may attach to each
+        proposal the value of ``request.state`` plus that step: the same
+        number ``predict_value`` returns for that state. Callers use an
+        attached value in place of ``predict_value`` and ask
+        ``predict_value`` for any proposal without one. A backend that
+        attaches nothing is correct, only slower over a wire.
         """
 
     @abstractmethod
@@ -146,14 +163,41 @@ def _step_to_wire(step: Step) -> dict:
     }
 
 
+def _value_from_wire(raw) -> ValuePrediction:
+    """The one reader for a value that came over the wire, whether a /value
+    answer or a value attached to a proposal.
+
+    A non-number, a JSON boolean included, is a TransportError; a value
+    outside [-1, 1] is clamped with a warning; NaN fails ValuePrediction's
+    range check.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TransportError(f"backend returned non-numeric value: {raw!r}")
+    if raw < -1.0 or raw > 1.0:
+        logger.warning("clamping out-of-range value %r from backend", raw)
+        raw = max(-1.0, min(1.0, raw))
+    return ValuePrediction(value=float(raw))
+
+
 class RemoteBackend(PolicyValueBackend):
     """Client for a model server speaking the JSON wire protocol.
 
-    POST /propose  {"state","n_samples","temperature","seed"} -> {"proposals":[...]}
+    POST /propose  {"state","n_samples","temperature","seed"[,"with_values"]}
+                   -> {"proposals":[...][,"values":[float,...]]}
     POST /value    {"state"} -> {"value": float}
 
-    Requests carry the protocol version header; transient failures are
-    retried up to ``max_attempts`` times with exponential backoff. Each
+    A propose request that asks for values carries ``"with_values": true``;
+    every other request leaves the key out. A server that honours it answers
+    with a ``values`` list aligned with ``proposals``, each the value of the
+    state plus that proposal; one that ignores it answers without the list,
+    and the caller then asks /value for each. A ``values`` entry that is not
+    a list of the proposals' length is a TransportError. /value answers and
+    attached values go through one reader (``_value_from_wire``).
+
+    The base URL must be ``http://`` or ``https://`` with a host; anything
+    else is a ContractViolation when the client is built. Requests carry the
+    protocol version header; transient failures are retried up to
+    ``max_attempts`` times with exponential backoff. Each
     thread keeps one session, and so one persistent connection, and reads
     the environment's proxy, CA bundle and netrc settings when its session
     is created. It also prepares one request per endpoint, once, and sends
@@ -170,6 +214,15 @@ class RemoteBackend(PolicyValueBackend):
         max_attempts: int = 3,
         backoff: float = 0.25,
     ) -> None:
+        try:
+            parts = urlsplit(base_url)
+            parts.port  # a port that is not a number in range raises here
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ContractViolation(
+                f"backend URL must be http(s)://host[:port][/path], not {base_url!r}"
+            )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.max_attempts = max_attempts
@@ -266,6 +319,8 @@ class RemoteBackend(PolicyValueBackend):
                 "temperature": request.temperature,
                 "seed": None if request.seed is None else request.seed + attempts,
             }
+            if request.with_values:
+                body["with_values"] = True
             payload = self._post("/propose", body)
             raw = payload.get("proposals")
             if not isinstance(raw, list):
@@ -273,8 +328,20 @@ class RemoteBackend(PolicyValueBackend):
             if not raw:
                 break  # dead end: the server has no legal continuation
             attempts += len(raw)
+            values = [None] * len(raw)
+            if request.with_values and "values" in payload:
+                attached = payload["values"]
+                if not isinstance(attached, list) or len(attached) != len(raw):
+                    raise TransportError(
+                        "backend values do not align with its proposals"
+                    )
+                values = [_value_from_wire(v).value for v in attached]
             proposals = dedupe_proposals(
-                proposals + [Proposal(step=_step_from_wire(p)) for p in raw]
+                proposals
+                + [
+                    Proposal(step=_step_from_wire(p), value=v)
+                    for p, v in zip(raw, values)
+                ]
             )
             if len(raw) < want:
                 break  # backend is out of distinct candidates
@@ -283,19 +350,16 @@ class RemoteBackend(PolicyValueBackend):
 
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         payload = self._post("/value", {"state": state.render()})
-        value = payload.get("value")
-        if not isinstance(value, (int, float)):
-            raise TransportError(f"backend returned non-numeric value: {value!r}")
-        value = float(value)
-        if value < -1.0 or value > 1.0:
-            logger.warning("clamping out-of-range value %.6f from backend", value)
-            value = max(-1.0, min(1.0, value))
-        return ValuePrediction(value=value)
+        return _value_from_wire(payload.get("value"))
 
 
 class _BackendRequestHandler(BaseHTTPRequestHandler):
     """Serves an in-process backend over the wire protocol (used for tests
     and for exposing the toy environment to external clients).
+
+    A /propose body with ``"with_values": true`` is answered with a
+    ``values`` list as well: the backend's ``predict_value`` for the state
+    plus each proposed step, computed in the same request.
 
     Connections are kept alive between requests. Every request body is read
     in full before the reply, whatever the reply, so the next request on the
@@ -364,16 +428,29 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
                     n_samples=int(body["n_samples"]),
                     temperature=float(body["temperature"]),
                     seed=body.get("seed"),
+                    with_values=body.get("with_values") is True,
                 )
         except (ValueError, KeyError, TypeError, EngineError) as exc:
             self._reply(400, {"error": f"bad request: {exc}"})
             return
         try:
+            backend = type(self).backend
             if self.path == "/propose":
-                proposals = type(self).backend.propose_steps(request)
+                proposals = backend.propose_steps(request)
                 payload = {"proposals": [_step_to_wire(p.step) for p in proposals]}
+                if request.with_values:
+                    payload["values"] = [
+                        backend.predict_value(
+                            ReasoningState(
+                                state.question_id,
+                                state.question_text,
+                                state.steps + (p.step,),
+                            )
+                        ).value
+                        for p in proposals
+                    ]
             else:
-                payload = {"value": type(self).backend.predict_value(state).value}
+                payload = {"value": backend.predict_value(state).value}
         except EngineError as exc:
             self._reply(400, {"error": str(exc)})
             return

@@ -85,7 +85,7 @@ class ToyProblem:
     greedy_trap: bool
 
     def __init__(self) -> None:
-        self._step_cache: dict[tuple[str, int, float], Step] = {}
+        self._proposal_cache: dict[tuple[str, int, float], Proposal] = {}
         self._value_memo: dict[tuple[str, ...], float] = {}
         self._sampler_memo: dict[tuple[tuple[str, ...], float], _Sampler] = {}
 
@@ -103,13 +103,18 @@ class ToyProblem:
         return sampler
 
     def step_for(self, action: ToyAction) -> Step:
-        """Rendered step for an action; cached because rollouts revisit states."""
+        """Rendered step for an action."""
+        return self.proposal_for(action).step
+
+    def proposal_for(self, action: ToyAction) -> Proposal:
+        """The proposal of an action's rendered step; cached because rollouts
+        revisit states, and shared because a Proposal is frozen."""
         # prob is part of the key: the same operation can be offered with a
         # different remaining-set probability on different paths.
         key = (action.label, action.value_before, action.prob)
-        step = self._step_cache.get(key)
-        if step is not None:
-            return step
+        proposal = self._proposal_cache.get(key)
+        if proposal is not None:
+            return proposal
         log_prob = log_prior(action.prob)
         if action.kind is ActionKind.ANSWER:
             step = Step.answer_step(
@@ -132,8 +137,8 @@ class ToyProblem:
                 mean_log_prob=log_prob,
                 errored=action.errored,
             )
-        self._step_cache[key] = step
-        return step
+        proposal = self._proposal_cache[key] = Proposal(step=step)
+        return proposal
 
     def root_state(self) -> ReasoningState:
         return ReasoningState(question_id=self.id, question_text=self.question_text)
@@ -404,7 +409,7 @@ class ToyBackend(PolicyValueBackend):
     request for n >= branching distinct steps returns every legal move.
     Referentially transparent given (state, seed). Safe for concurrent use:
     every cache (the problem map, each problem's action lists, samplers,
-    rendered steps and exact values, and the step-text-to-label memo) is a
+    proposals and exact values, and the step-text-to-label memo) is a
     dictionary whose entries are computed from their key alone and never
     mutated after insertion, so racing threads at worst compute an entry
     twice and store equal values.
@@ -454,7 +459,7 @@ class ToyBackend(PolicyValueBackend):
         chosen = problem.sampler(history, request.temperature).sample(
             request.n_samples, request.seed
         )
-        return [Proposal(step=problem.step_for(action)) for action in chosen]
+        return [problem.proposal_for(action) for action in chosen]
 
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         if self.mode is Mode.COLD:

@@ -69,20 +69,30 @@ class ScriptedBackend(PolicyValueBackend):
 
     proposals: rendered text -> list of Step (returned up to n_samples, in
     table order; missing key means dead end). values: rendered text -> float
-    (missing key defaults to 0.0). Calls are recorded for assertions.
+    (missing key defaults to 0.0). With ``attach_values``, a request that
+    asks for values gets each proposal's value attached from the same
+    table. Calls are recorded for assertions.
     """
 
-    def __init__(self, proposals: dict[str, list[Step]], values: dict[str, float] | None = None):
+    def __init__(
+        self,
+        proposals: dict[str, list[Step]],
+        values: dict[str, float] | None = None,
+        attach_values: bool = False,
+    ):
         self.proposals = proposals
         self.values = values or {}
+        self.attach_values = attach_values
         self.propose_calls: list[str] = []
         self.value_calls: list[str] = []
 
     def propose_steps(self, request: ProposalRequest) -> list[Proposal]:
         rendered = request.state.render()
         self.propose_calls.append(rendered)
-        steps = self.proposals.get(rendered, [])
-        return [Proposal(step=s) for s in steps[: request.n_samples]]
+        steps = self.proposals.get(rendered, [])[: request.n_samples]
+        if request.with_values and self.attach_values:
+            return [Proposal(step=s, value=self.values.get(rendered + s.text, 0.0)) for s in steps]
+        return [Proposal(step=s) for s in steps]
 
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         rendered = state.render()

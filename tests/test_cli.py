@@ -151,6 +151,23 @@ def test_remote_backend_requires_a_url(tmp_path, capsys, monkeypatch):
     assert BACKEND_URL_ENV in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("url", ["nohost", "ftp://x", "http://"])
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_a_backend_url_without_an_http_host_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, url
+):
+    monkeypatch.delenv(BACKEND_URL_ENV, raising=False)
+    sleeps = []
+    monkeypatch.setattr("rsp.policy.time.sleep", sleeps.append)
+    dataset = toy_dataset(tmp_path, n=2)
+    out = tmp_path / "out.json"
+    code = main([command, dataset, "--backend", "remote", "--backend-url", url, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert repr(url) in capsys.readouterr().err
+    assert not out.exists()
+    assert sleeps == []
+
+
 def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
     dataset = toy_dataset(tmp_path, n=1)
     code = main(
@@ -169,6 +186,8 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
         ["--strategy", "mcts", "--n-sims", "0"],
         ["--strategy", "mcts", "--toy-mode", "oracle", "--c-puct", "nan"],
         ["--strategy", "mcts", "--c-puct", "inf"],
+        ["--strategy", "sbs", "--temperature", "inf"],
+        ["--strategy", "mcts", "--temperature", "inf"],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -304,6 +323,7 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
         ["--max-pos", "-1"],
         ["--max-neg", "-1"],
         ["--c-puct", "nan"],
+        ["--temperature", "inf"],
     ],
 )
 def test_generate_rejects_invalid_settings_before_writing(tmp_path, capsys, flags):
@@ -393,6 +413,32 @@ def test_inspect_summarizes_a_dumped_tree(tmp_path, capsys):
     assert "depth  1:" in text
     assert "value sweep (beam width 2):" in text
     assert "best path:" in text
+
+
+def _doctor_c_puct(doc):
+    doc["config"]["c_puct"] = -1.0
+
+
+def _doctor_step_text(doc):
+    doc["nodes"][-1]["step_text"] = doc["nodes"][-1]["step_text"].removeprefix("<step>")
+
+
+@pytest.mark.parametrize("doctor", [_doctor_c_puct, _doctor_step_text])
+def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
+    dataset = toy_dataset(tmp_path, n=1, seed=9)
+    dump_dir = tmp_path / "trees"
+    assert main(
+        ["solve", dataset, "--strategy", "mcts", "--n-sims", "2", "--dump-trees", str(dump_dir)]
+    ) == EXIT_OK
+    (snapshot,) = dump_dir.glob("*.tree.json")
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    doctor(doc)
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(snapshot)]) == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: malformed snapshot" in captured.err
 
 
 def test_inspect_rejects_a_beam_width_below_one(tmp_path, capsys):

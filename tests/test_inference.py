@@ -58,7 +58,7 @@ class PathQueueBackend(PolicyValueBackend):
         return ValuePrediction(value=0.0)
 
 
-def two_level_script():
+def two_level_script(attach_values=False):
     """question -> {a: 0.8, b: 0.6}; a -> {answer 50: 0.9, d: 0.2}."""
     q = make_state()
     a = code_step(analysis="a")
@@ -75,7 +75,7 @@ def two_level_script():
         apply_step(q_a, d).render(): 0.2,
         apply_step(q_b, d).render(): 0.1,
     }
-    return q, ScriptedBackend(proposals, values)
+    return q, ScriptedBackend(proposals, values, attach_values)
 
 
 def test_sbs_follows_the_value_argmax():
@@ -101,6 +101,17 @@ def test_sbs_values_each_distinct_state_once():
     ]
     assert beam == history[-1]
     assert len(backend.value_calls) == len(set(backend.value_calls)) == 4
+
+
+@pytest.mark.parametrize("beam_width", [1, 2, 3])
+def test_sbs_scores_attached_values_without_value_calls(beam_width):
+    q, asking = two_level_script()
+    _, attaching = two_level_script(attach_values=True)
+    want = sbs_search(q, asking, beam_width=beam_width, expansion_width=2)
+    got = sbs_search(q, attaching, beam_width=beam_width, expansion_width=2)
+    assert got == want
+    assert asking.value_calls and attaching.value_calls == []
+    assert attaching.propose_calls == asking.propose_calls
 
 
 def test_sbs_decode_returns_the_top_candidate():
@@ -230,12 +241,14 @@ class RecordingBackend(PolicyValueBackend):
     def __init__(self, inner):
         self.inner = inner
         self.proposals: list[tuple] = []
+        self.with_values: list[bool] = []
         self.values: list[ReasoningState] = []
 
     def propose_steps(self, request):
         self.proposals.append(
             (request.state, request.n_samples, request.temperature, request.seed)
         )
+        self.with_values.append(request.with_values)
         return self.inner.propose_steps(request)
 
     def predict_value(self, state):
@@ -266,6 +279,21 @@ def test_greedy_is_beam_one_at_deterministic_temperature():
     answered = make_state(steps=(answer_step(),))
     with pytest.raises(ContractViolation):
         greedy_decode(answered, ScriptedBackend({}))
+
+
+def test_only_value_guided_decodes_ask_for_values():
+    problem = generate_problem(31)
+    inner = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    decodes = {
+        "greedy": (lambda b: greedy_decode(problem.root_state(), b), False),
+        "maj": (lambda b: majority_vote(problem.root_state(), b, k=3), False),
+        "sbs": (lambda b: sbs_decode(problem.root_state(), b, beam_width=2), True),
+        "mcts": (lambda b: mcts_decode(problem.root_state(), b), True),
+    }
+    for name, (decode, asks) in decodes.items():
+        backend = RecordingBackend(inner)
+        decode(backend)
+        assert backend.with_values and set(backend.with_values) == {asks}, name
 
 
 def test_q_sweep_follows_the_stored_edge_values():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, Reward, apply_step
+from rsp.core import ContractViolation, Reward, StepKind, apply_step
 from rsp.inference import inference_search_config, q_sweep
 from rsp.mcts import (
     EvaluationMode,
@@ -84,7 +84,7 @@ def test_puct_unvisited_child_uses_q_init():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["c_puct", "q_init"])
+@pytest.mark.parametrize("name", ["c_puct", "q_init", "temperature"])
 def test_search_config_rejects_non_finite_numbers(name, value):
     # a NaN score compares false both ways, so select would always take the
     # first child
@@ -294,6 +294,63 @@ def test_model_only_search_values_each_state_once():
     assert leaf.stats.total_value == 0.5 * leaf.stats.visits
     assert stuck_node.stats.total_value == 0.25 * 2
     assert tree.total_evaluations == tree.total_backups > len(backend.value_calls)
+
+
+def _branching_script(depth=3, width=3):
+    """Every state below ``depth`` offers ``width`` code steps (the last an
+    answer at the bottom), each child with its own value."""
+    proposals, values = {}, {}
+    frontier = [make_state()]
+    for level in range(depth):
+        next_frontier = []
+        for state in frontier:
+            steps = [
+                answer_step(str(i)) if level == depth - 1 and i == width - 1
+                else code_step(analysis=f"d{level} s{i}", output=str(i))
+                for i in range(width)
+            ]
+            proposals[state.render()] = steps
+            for i, step in enumerate(steps):
+                child = apply_step(state, step)
+                values[child.render()] = round(math.sin(len(values) + 1), 3)
+                if step.kind is StepKind.CODE:
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return proposals, values
+
+
+@pytest.mark.parametrize("evaluation", list(EvaluationMode))
+def test_attached_values_build_the_same_tree_without_value_calls(evaluation):
+    proposals, values = _branching_script()
+    config = SearchConfig(n_simulations=12, expansion_width=3, evaluation=evaluation)
+    gold = "2" if evaluation is EvaluationMode.TERMINAL_REWARD else None
+    asking = ScriptedBackend(proposals, values)
+    attaching = ScriptedBackend(proposals, values, attach_values=True)
+    asked = build_tree(make_state(), gold, asking, config, seed=3)
+    attached = build_tree(make_state(), gold, attaching, config, seed=3)
+    assert asking.value_calls  # the same search without attached values asks
+    assert attaching.value_calls == []
+    assert attaching.propose_calls == asking.propose_calls
+    asked_nodes = tree_to_snapshot(asked)["nodes"]
+    attached_nodes = tree_to_snapshot(attached)["nodes"]
+    assert len(attached_nodes) == len(asked_nodes)
+    for a, b in zip(asked_nodes, attached_nodes):
+        # a training-mode search stores the values attached to terminal
+        # children too, where the asking search never asked
+        if a["model_value"] is None:
+            b = {**b, "model_value": None}
+        assert b == a
+
+
+def test_expand_asks_for_values_and_stores_them():
+    state = make_state()
+    steps = [code_step(analysis="a"), answer_step("1")]
+    values = {apply_step(state, s).render(): v for s, v in zip(steps, (0.5, -0.25))}
+    backend = ScriptedBackend({state.render(): steps}, values, attach_values=True)
+    tree = fresh_tree(state, SearchConfig(evaluation=EvaluationMode.MODEL_ONLY))
+    children = expand(tree, tree.root, backend)
+    assert [c.stats.model_value for c in children] == [0.5, -0.25]
+    assert backend.value_calls == []
 
 
 def test_single_path_root_edge_converges_to_plus_one():

@@ -11,10 +11,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from rsp.core import STEP_OPEN, ContractViolation, Reward, Step, normalize_answer, answers_equivalent
+from rsp.core import STEP_OPEN, ContractViolation, Reward, Step, apply_step, normalize_answer, answers_equivalent
 from rsp.datagen import harvest_paths
-from rsp.inference import sbs_decode
-from rsp.mcts import SearchConfig, build_tree
+from rsp.inference import greedy_decode, majority_vote, mcts_decode, sbs_decode
+from rsp.mcts import SearchConfig, build_tree, mc_rollout_estimate
 from rsp.policy import (
     SERVER_POLL_INTERVAL,
     ProposalRequest,
@@ -25,7 +25,7 @@ from rsp.policy import (
     _step_to_wire,
     serve_backend,
 )
-from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_state_decoder
+from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_corpus, toy_state_decoder
 from conftest import ScriptedBackend, answer_step, code_step, make_state, stop_server
 
 
@@ -691,3 +691,174 @@ def test_non_finite_numbers_are_refused_before_the_wire(monkeypatch):
     assert toy.propose_steps(
         ProposalRequest(state=problem.root_state(), n_samples=2, temperature=float("inf"), seed=0)
     )
+
+
+# --- values attached to proposals --------------------------------------------
+
+
+def _record_bodies(monkeypatch):
+    """Record (path, JSON body) of every request the client sends."""
+    sent = []
+    send = requests.adapters.HTTPAdapter.send
+
+    def recording(adapter, request, **kwargs):
+        sent.append((request.path_url, json.loads(request.body)))
+        return send(adapter, request, **kwargs)
+
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", recording)
+    return sent
+
+
+def test_attached_values_equal_separate_value_answers(toy_served):
+    problem, inner, remote = toy_served
+    state = problem.root_state()
+    for seed in range(3):
+        request = ProposalRequest(
+            state=state, n_samples=5, temperature=1.0, seed=seed, with_values=True
+        )
+        proposals = remote.propose_steps(request)
+        assert [p.step for p in proposals] == [p.step for p in inner.propose_steps(request)]
+        for proposal in proposals:
+            child = apply_step(state, proposal.step)
+            assert proposal.value is not None
+            assert proposal.value == remote.predict_value(child).value
+            assert proposal.value == inner.predict_value(child).value
+        state = apply_step(state, proposals[0].step)
+    # asked without values, the same proposals come back bare
+    request = ProposalRequest(state=problem.root_state(), n_samples=5, temperature=1.0, seed=0)
+    assert all(p.value is None for p in remote.propose_steps(request))
+
+
+def _wire_decode(name, state, backend, seed):
+    if name == "mcts":
+        return mcts_decode(state, backend, seed=seed)
+    return sbs_decode(state, backend, beam_width=int(name[-1]), expansion_width=5, seed=seed)
+
+
+def _report_fields(report):
+    return (report.answer, report.path, report.steps_taken, report.candidates_returned)
+
+
+def _serve_corpus(corpus, honour_values=True):
+    """The reference server over an oracle toy backend; without
+    ``honour_values`` it drops the request's with_values key, as a server
+    that predates it would."""
+    inner = ToyBackend.for_corpus(corpus, mode=Mode.ORACLE)
+    server = serve_backend(inner, toy_state_decoder(inner))
+    if not honour_values:
+        handler = server.RequestHandlerClass
+
+        def read_body(self):
+            raw = handler._read_body(self)
+            if raw is None or self.path != "/propose":
+                return raw
+            body = json.loads(raw)
+            body.pop("with_values", None)
+            return json.dumps(body).encode()
+
+        server.RequestHandlerClass = type("Predates", (handler,), {"_read_body": read_body})
+    return inner, server
+
+
+@pytest.mark.parametrize("honour_values", [True, False], ids=["honoured", "ignored"])
+@pytest.mark.parametrize("name", ["sbs1", "sbs3", "mcts"])
+def test_value_guided_decodes_over_the_wire(monkeypatch, name, honour_values):
+    # a server that honours with_values is never asked /value; one that
+    # ignores it is, and the decodes are the same either way
+    corpus = toy_corpus(4, seed=11)
+    inner, server = _serve_corpus(corpus, honour_values)
+    sent = _record_bodies(monkeypatch)
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        over_wire = [_wire_decode(name, p.root_state(), remote, seed=i) for i, p in enumerate(corpus)]
+    finally:
+        stop_server(server)
+    in_process = [_wire_decode(name, p.root_state(), inner, seed=i) for i, p in enumerate(corpus)]
+    assert [_report_fields(r) for r in over_wire] == [_report_fields(r) for r in in_process]
+    proposes = [body for path, body in sent if path == "/propose"]
+    assert proposes and all(body["with_values"] is True for body in proposes)
+    value_requests = len(sent) - len(proposes)
+    assert value_requests == 0 if honour_values else value_requests > 0
+
+
+def test_greedy_and_majority_requests_carry_no_with_values(monkeypatch, toy_served):
+    problem, inner, remote = toy_served
+    sent = _record_bodies(monkeypatch)
+    state = problem.root_state()
+    assert greedy_decode(state, remote).path == greedy_decode(state, inner).path
+    assert majority_vote(state, remote, k=3, seed=2).path == majority_vote(state, inner, k=3, seed=2).path
+    assert mc_rollout_estimate(state, problem.gold_answer, remote, n_rollouts=2, seed=1) == (
+        mc_rollout_estimate(state, problem.gold_answer, inner, n_rollouts=2, seed=1)
+    )
+    assert sent
+    assert all(path == "/propose" and "with_values" not in body for path, body in sent)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"values": [0.5]},
+        {"values": [0.5, 0.25, 0.0]},
+        {"values": 0.5},
+        {"values": None},
+    ],
+    ids=["short", "long", "scalar", "null"],
+)
+def test_values_that_do_not_align_are_transport_errors(payload):
+    proposals = [_step_to_wire(code_step(analysis=a)) for a in ("a", "b")]
+    server, _ = _start_stub([(200, {"proposals": proposals, **payload})])
+    request = ProposalRequest(
+        state=make_state(), n_samples=2, temperature=1.0, seed=0, with_values=True
+    )
+    try:
+        with pytest.raises(TransportError, match="align"):
+            RemoteBackend(_url(server), backoff=0.01).propose_steps(request)
+    finally:
+        stop_server(server)
+
+
+def _read_value_over(path, raw):
+    """Serve ``raw`` as a /value answer or as a value attached to one
+    proposal, and read it through the client."""
+    if path == "/value":
+        reply = {"value": raw}
+    else:
+        reply = {"proposals": [_step_to_wire(code_step())], "values": [raw]}
+    server, _ = _start_stub([(200, reply)])
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        if path == "/value":
+            return remote.predict_value(make_state()).value
+        request = ProposalRequest(
+            state=make_state(), n_samples=1, temperature=1.0, seed=0, with_values=True
+        )
+        (proposal,) = remote.propose_steps(request)
+        return proposal.value
+    finally:
+        stop_server(server)
+
+
+@pytest.mark.parametrize("path", ["/value", "/propose"])
+@pytest.mark.parametrize("raw", [True, False, "0.5", None, [0.5], {"v": 0.5}], ids=repr)
+def test_wire_values_must_be_numbers(path, raw):
+    with pytest.raises(TransportError, match="non-numeric"):
+        _read_value_over(path, raw)
+
+
+@pytest.mark.parametrize("path", ["/value", "/propose"])
+@pytest.mark.parametrize(
+    "raw, read",
+    [(1.7, 1.0), (-2, -1.0), (float("inf"), 1.0), (10**400, 1.0), (0.25, 0.25), (-1, -1.0)],
+    ids=["1.7", "-2", "inf", "10**400", "0.25", "-1"],
+)
+def test_wire_values_out_of_range_are_clamped_with_a_warning(caplog, path, raw, read):
+    with caplog.at_level("WARNING", logger="rsp.policy"):
+        assert _read_value_over(path, raw) == read
+    clamped = [r for r in caplog.records if "clamping" in r.getMessage()]
+    assert len(clamped) == (0 if -1 <= raw <= 1 else 1)
+
+
+@pytest.mark.parametrize("path", ["/value", "/propose"])
+def test_wire_value_nan_is_refused(path):
+    with pytest.raises(ContractViolation, match=r"\[-1, 1\]"):
+        _read_value_over(path, float("nan"))

@@ -382,6 +382,17 @@ def test_memoized_sampler_matches_sampling_from_scratch():
                     assert got == want, (probs, temperature, n, seed)
 
 
+def test_toy_proposals_are_built_once_and_shared():
+    problem = generate_problem(42)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    request = ProposalRequest(state=problem.root_state(), n_samples=5, temperature=1.0, seed=3)
+    first, again = backend.propose_steps(request), backend.propose_steps(request)
+    assert first and all(a is b for a, b in zip(first, again))
+    cached = {id(problem.proposal_for(a)) for a in problem.actions_at(())}
+    assert {id(p) for p in first} <= cached
+    assert all(p.value is None for p in first)  # the toy attaches no values
+
+
 def test_rollout_estimates_keep_their_pinned_bits():
     # Root states of acceptance criterion 2, with its seeds; the values were
     # recorded before the toy sampler was memoized, so any change to a draw
