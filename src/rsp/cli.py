@@ -243,6 +243,15 @@ def _dump_name(question_id) -> str:
     return f"{text}.tree.json"
 
 
+def _map_in_order(work, items, jobs: int) -> list:
+    """``work`` applied to each item, on ``jobs`` threads, results in input
+    order; one job runs in the calling thread."""
+    if jobs == 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(work, items))
+
+
 def _solve_one(
     settings: dict,
     search: SearchConfig,
@@ -330,12 +339,7 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
         index, row = item
         return _solve_one(settings, search, backend, index, row, dump_dir)
 
-    jobs = settings["jobs"]
-    if jobs == 1:
-        entries = [work(item) for item in enumerate(rows)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(work, enumerate(rows)))
+    entries = _map_in_order(work, enumerate(rows), settings["jobs"])
 
     graded = [e for e in entries if e["gold"]]
     accuracy = (
@@ -402,12 +406,7 @@ def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
             seed=derive_seed(settings["seed"], index, 0x5E1EC7),
         )
 
-    jobs = settings["jobs"]
-    if jobs == 1:
-        per_question = [work(item) for item in enumerate(rows)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_question = list(pool.map(work, enumerate(rows)))
+    per_question = _map_in_order(work, enumerate(rows), settings["jobs"])
 
     selected = [path for group in per_question for path in group]
     manifest = build_manifest(

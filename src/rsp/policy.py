@@ -16,10 +16,8 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
-
-import requests
-from requests.adapters import HTTPAdapter
 
 from .core import (
     ContractViolation,
@@ -28,6 +26,10 @@ from .core import (
     Step,
     StepKind,
 )
+
+if TYPE_CHECKING:
+    import requests
+    from requests.adapters import HTTPAdapter
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +207,10 @@ class RemoteBackend(PolicyValueBackend):
     redirects are not followed (a 3xx is fatal, like any other non-200 below
     500) and no cookies are kept. A body holding a non-finite number is a
     ContractViolation before anything is sent.
+
+    ``requests`` is imported when the first client is built, not with this
+    module, so a process that only serves or searches in process never
+    loads the HTTP client stack.
     """
 
     def __init__(
@@ -214,6 +220,9 @@ class RemoteBackend(PolicyValueBackend):
         max_attempts: int = 3,
         backoff: float = 0.25,
     ) -> None:
+        # Loaded here, not with the module: only the remote client needs it.
+        import requests  # noqa: F401
+
         try:
             parts = urlsplit(base_url)
             parts.port  # a port that is not a number in range raises here
@@ -232,6 +241,8 @@ class RemoteBackend(PolicyValueBackend):
     def _endpoint(self, path: str) -> tuple[requests.Session, HTTPAdapter, requests.PreparedRequest]:
         """This thread's session, the adapter it sends through, and the
         prepared request for ``path``, each built once per thread."""
+        import requests
+
         local = self._local
         prepared = getattr(local, "prepared", None)
         if prepared is None:
@@ -265,6 +276,8 @@ class RemoteBackend(PolicyValueBackend):
         return local.session, local.adapter, template
 
     def _post(self, path: str, body: dict) -> dict:
+        import requests
+
         try:
             blob = json.dumps(body, allow_nan=False).encode()
         except ValueError:
@@ -353,6 +366,36 @@ class RemoteBackend(PolicyValueBackend):
         return _value_from_wire(payload.get("value"))
 
 
+def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRequest:
+    """The /propose fields, taken only as the JSON types the client sends:
+    ``n_samples`` an integer, ``temperature`` a finite number, ``seed`` an
+    integer or null and ``with_values``, when present, a boolean. JSON
+    booleans are not numbers here. Anything else is a ValueError."""
+    n_samples = body["n_samples"]
+    temperature = body["temperature"]
+    seed = body.get("seed")
+    with_values = body.get("with_values", False)
+    if type(n_samples) is not int:
+        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
+    try:
+        finite = type(temperature) in (int, float) and math.isfinite(temperature)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"temperature must be a finite number, not {temperature!r}")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"seed must be an integer or null, not {seed!r}")
+    if type(with_values) is not bool:
+        raise ValueError(f"with_values must be a boolean, not {with_values!r}")
+    return ProposalRequest(
+        state=state,
+        n_samples=n_samples,
+        temperature=float(temperature),
+        seed=seed,
+        with_values=with_values,
+    )
+
+
 class _BackendRequestHandler(BaseHTTPRequestHandler):
     """Serves an in-process backend over the wire protocol (used for tests
     and for exposing the toy environment to external clients).
@@ -423,13 +466,7 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
             body = json.loads(raw)
             state = type(self).state_decoder(body["state"])
             if self.path == "/propose":
-                request = ProposalRequest(
-                    state=state,
-                    n_samples=int(body["n_samples"]),
-                    temperature=float(body["temperature"]),
-                    seed=body.get("seed"),
-                    with_values=body.get("with_values") is True,
-                )
+                request = _proposal_request_from_wire(state, body)
         except (ValueError, KeyError, TypeError, EngineError) as exc:
             self._reply(400, {"error": f"bad request: {exc}"})
             return

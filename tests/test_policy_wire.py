@@ -412,6 +412,87 @@ def test_malformed_requests_are_client_errors():
         stop_server(server)
 
 
+# Each field replaces its valid value in a /propose body for the toy
+# backend; every body fails the same way on every attempt.
+_MISTYPED_PROPOSE_FIELDS = [
+    ("seed", b"[1]"),
+    ("seed", b'{"a": 1}'),
+    ("seed", b"1.5"),
+    ("seed", b'"abc"'),
+    ("seed", b"true"),
+    ("n_samples", b"2.7"),
+    ("n_samples", b"true"),
+    ("n_samples", b'"2"'),
+    ("temperature", b'"1"'),
+    ("temperature", b"Infinity"),
+    ("temperature", b"1e400"),
+    ("temperature", b"1" + b"0" * 400),
+    ("temperature", b"true"),
+    ("with_values", b'"yes"'),
+    ("with_values", b"1"),
+    ("with_values", b"null"),
+]
+
+
+def _propose_body(state, **raw_fields):
+    fields = {"n_samples": b"2", "temperature": b"1.0", "seed": b"7"}
+    fields.update(raw_fields)
+    return b"{" + b", ".join(
+        [b'"state": ' + json.dumps(state.render()).encode()]
+        + [b'"' + key.encode() + b'": ' + value for key, value in fields.items()]
+    ) + b"}"
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    _MISTYPED_PROPOSE_FIELDS,
+    ids=[f"{field}={raw.decode()[:20]}" for field, raw in _MISTYPED_PROPOSE_FIELDS],
+)
+def test_mistyped_propose_fields_are_client_errors(toy_served, field, raw):
+    problem, _, remote = toy_served
+    body = _propose_body(problem.root_state(), **{field: raw})
+    with requests.Session() as session:
+        response = session.post(f"{remote.base_url}/propose", data=body, timeout=10)
+        assert response.status_code == 400, response.text
+        assert field in response.json()["error"]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"seed": b"null"},
+        {"seed": b"-3"},
+        {"temperature": b"1"},
+        {"temperature": b"1e-07"},
+        {"with_values": b"true"},
+        {"with_values": b"false"},
+    ],
+    ids=repr,
+)
+def test_well_typed_propose_fields_are_served(toy_served, fields):
+    problem, inner, remote = toy_served
+    body = _propose_body(problem.root_state(), **fields)
+    with requests.Session() as session:
+        response = session.post(f"{remote.base_url}/propose", data=body, timeout=10)
+    assert response.status_code == 200, response.text
+    sent = json.loads(body)
+    expected = inner.propose_steps(
+        ProposalRequest(
+            state=problem.root_state(),
+            n_samples=sent["n_samples"],
+            temperature=float(sent["temperature"]),
+            seed=sent["seed"],
+        )
+    )
+    payload = response.json()
+    if sent["seed"] is None:  # an unseeded draw: only its size is fixed
+        assert len(payload["proposals"]) == len(expected)
+    else:
+        assert payload["proposals"] == [_step_to_wire(p.step) for p in expected]
+    assert ("values" in payload) == (sent.get("with_values") is True)
+
+
 def _count_connections(server):
     """Record the client address of every connection the server accepts."""
     accepted = []
