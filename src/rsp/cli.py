@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import (
@@ -66,64 +65,32 @@ class DatasetError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class EvalSummary:
-    """Aggregate statistics over one solve run."""
-
-    strategy: str
-    n_questions: int
-    n_solutions: int
-    avg_time_s: float
-    avg_steps: float
-    avg_candidates: float
-    accuracy: float | None  # None, and left out of the report, without golds
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.accuracy is None:
-            del out["accuracy"]
-        return out
-
-
-_DEFAULTS = {
-    "strategy": "sbs",
-    "backend": "toy",
-    "toy_mode": None,  # resolved per command: oracle for solve, cold for generate
-    "backend_url": None,
-    "b1": 1,
-    "b2": 5,
-    "n_simulations": 40,
-    "c_puct": 1.25,
-    "t_max": 8,
-    "temperature": None,  # resolved per strategy
-    "k": 5,
-    "seed": 0,
-    "jobs": 1,
-    "trees_per_question": 10,
-    "max_pos": 4,
-    "max_neg": 4,
-    "round": 1,
+# Every setting: its built-in default, and the type of the JSON value a
+# config file gives it (a JSON boolean is none of these). null in a config
+# file means the default.
+_SETTINGS = {
+    "strategy": ("sbs", str),
+    "backend": ("toy", str),
+    "toy_mode": (None, str),  # resolved per command: oracle for solve, cold for generate
+    "backend_url": (None, str),
+    "b1": (1, int),
+    "b2": (5, int),
+    "n_simulations": (40, int),
+    "c_puct": (1.25, float),
+    "t_max": (8, int),
+    "temperature": (None, float),  # resolved per strategy
+    "k": (5, int),
+    "seed": (0, int),
+    "jobs": (1, int),
+    "trees_per_question": (10, int),
+    "max_pos": (4, int),
+    "max_neg": (4, int),
+    "round": (1, int),
 }
 
-_CONFIG_TYPES = {
-    "strategy": str,
-    "backend": str,
-    "toy_mode": str,
-    "backend_url": str,
-    "b1": int,
-    "b2": int,
-    "n_simulations": int,
-    "c_puct": float,
-    "t_max": int,
-    "temperature": float,
-    "k": int,
-    "seed": int,
-    "jobs": int,
-    "trees_per_question": int,
-    "max_pos": int,
-    "max_neg": int,
-    "round": int,
-}
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+STRATEGIES = ("greedy", "sbs", "mcts", "maj")
 
 
 def _load_config_file(path: str) -> dict:
@@ -137,22 +104,25 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} must hold a flat JSON object")
     settings = {}
     for key, value in raw.items():
-        if key not in _CONFIG_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
-        if value is not None:
-            try:
-                value = _CONFIG_TYPES[key](value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} has invalid value {value!r}")
-        settings[key] = value
+        if value is None:
+            continue
+        kind = _SETTINGS[key][1]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ConfigError(f"config key {key!r} takes {_JSON_KINDS[kind]} or null, not {value!r}")
+        try:
+            settings[key] = kind(value)
+        except OverflowError:  # an integer too large for a float
+            raise ConfigError(f"config key {key!r} has invalid value {value!r}")
     return settings
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -220,6 +190,8 @@ def _strategy_temperature(settings: dict) -> float:
 def _solve_search_config(settings: dict) -> SearchConfig:
     """The decode-time tree settings, built (and so checked) before any
     question runs; b2, t_max and the temperature also drive beam search."""
+    if settings["strategy"] not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {settings['strategy']!r}")
     for key in ("b1", "k", "jobs"):
         if settings[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -295,7 +267,7 @@ def _solve_one(
                 max_depth=settings["t_max"],
                 seed=question_seed,
             )
-        elif strategy == "mcts":
+        else:  # mcts
             started = time.perf_counter()
             tree = build_tree(state, None, backend, search, question_seed)
             if dump_dir is not None:
@@ -304,10 +276,6 @@ def _solve_one(
                     json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
                 )
             report = decode_tree(tree, beam_width=settings["b1"], started=started)
-        else:
-            raise ConfigError(f"unknown strategy {strategy!r}")
-    except ConfigError:
-        raise
     except EngineError as exc:
         entry["error"] = str(exc)
         if entry["gold"]:
@@ -341,23 +309,21 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
     entries = _map_in_order(work, enumerate(rows), settings["jobs"])
 
-    graded = [e for e in entries if e["gold"]]
-    accuracy = (
-        sum(1 for e in graded if e["correct"]) / len(graded) if graded else None
-    )
     n = max(1, len(entries))
-    summary = EvalSummary(
-        strategy=settings["strategy"],
-        n_questions=len(entries),
-        n_solutions=sum(1 for e in entries if e["answer"] is not None),
-        avg_time_s=sum(e["elapsed_seconds"] for e in entries) / n,
-        avg_steps=sum(e["steps"] for e in entries) / n,
-        avg_candidates=sum(e["candidates"] for e in entries) / n,
-        accuracy=accuracy,
-    )
+    summary = {
+        "strategy": settings["strategy"],
+        "n_questions": len(entries),
+        "n_solutions": sum(1 for e in entries if e["answer"] is not None),
+        "avg_time_s": sum(e["elapsed_seconds"] for e in entries) / n,
+        "avg_steps": sum(e["steps"] for e in entries) / n,
+        "avg_candidates": sum(e["candidates"] for e in entries) / n,
+    }
+    graded = [e for e in entries if e["gold"]]
+    if graded:
+        summary["accuracy"] = sum(1 for e in graded if e["correct"]) / len(graded)
     # the merged settings (seed included) ride along so any run, in
     # particular one against a remote model server, stays auditable
-    result = {"summary": summary.to_dict(), "config": settings, "reports": entries}
+    result = {"summary": summary, "config": settings, "reports": entries}
     if out:
         Path(out).write_text(
             json.dumps(result, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
@@ -524,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="answer questions from a JSONL dataset")
     solve.add_argument("dataset")
     solve.add_argument(
-        "--strategy", choices=["greedy", "sbs", "mcts", "maj"], default=None
+        "--strategy", choices=STRATEGIES, default=None
     )
     solve.add_argument("--b1", type=int, default=None, help="beam width")
     solve.add_argument("--k", type=int, default=None, help="votes for maj")
@@ -601,13 +567,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(records)} problems to {args.out}")
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DatasetError, SnapshotError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATASET
-    except ContractViolation as exc:
+    except (ConfigError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EngineError as exc:

@@ -28,6 +28,7 @@ from .mcts import (
     SearchTree,
     build_tree,
     iter_nodes,
+    sample_path,
 )
 from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend, ProposalRequest
 
@@ -171,7 +172,7 @@ def greedy_decode(
     if is_terminal(question, max_depth):
         raise ContractViolation("cannot decode from a terminal state")
     started = time.perf_counter()
-    state = _sample_path(
+    state = sample_path(
         question, backend, DETERMINISTIC_TEMPERATURE, max_depth, random.Random(0)
     )
     return _finish(state, started, 1)
@@ -250,29 +251,6 @@ def mcts_decode(
     return decode_tree(tree, beam_width, started)
 
 
-def _sample_path(
-    question: ReasoningState,
-    backend: PolicyValueBackend,
-    temperature: float,
-    max_depth: int,
-    rng: random.Random,
-) -> ReasoningState:
-    state = question
-    while not is_terminal(state, max_depth):
-        proposals = backend.propose_steps(
-            ProposalRequest(
-                state=state,
-                n_samples=1,
-                temperature=temperature,
-                seed=rng.randrange(2**63),
-            )
-        )
-        if not proposals:
-            break  # dead end: return the unanswered partial path
-        state = apply_step(state, proposals[0].step, max_depth)
-    return state
-
-
 def majority_vote(
     question: ReasoningState,
     backend: PolicyValueBackend,
@@ -292,7 +270,7 @@ def majority_vote(
     started = time.perf_counter()
     rng = random.Random(seed)
     finals: list[ReasoningState] = [
-        _sample_path(question, backend, temperature, max_depth, rng) for _ in range(k)
+        sample_path(question, backend, temperature, max_depth, rng) for _ in range(k)
     ]
     groups: list[dict] = []  # {"answer": Answer, "count": int, "first": int}
     for index, state in enumerate(finals):

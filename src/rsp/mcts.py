@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .core import (
@@ -118,7 +118,6 @@ class SearchTree:
     gold_answer: Answer | None
     simulations_run: int = 0
     total_backups: int = 0
-    total_evaluations: int = 0
     rng: random.Random = field(default_factory=random.Random, repr=False)
 
 
@@ -245,33 +244,19 @@ def _refresh_exhausted(path: list[SearchNode]) -> None:
 def run_simulation(tree: SearchTree, backend: PolicyValueBackend) -> None:
     """One select/expand/evaluate/backup cycle.
 
-    When selection ends at an already-terminal leaf, that leaf is re-scored
-    per the evaluation mode and backed up again; under model-only
-    evaluation a revisited terminal leaf backs up its stored model value
-    without asking the backend again. Otherwise the leaf is expanded and
-    every new child is evaluated and backed up its own path.
+    A non-terminal leaf is expanded and every new child is evaluated and
+    backed up its own path. A leaf that is terminal, or that the expansion
+    turned into a dead end, is itself re-scored per the evaluation mode and
+    backed up again; under model-only evaluation a revisited terminal leaf
+    backs up its stored model value without asking the backend again.
     """
     path = select(tree)
     leaf = path[-1]
-    if leaf.terminal:
-        value = evaluate(leaf, backend, tree.config)
-        tree.total_evaluations += 1
-        backup(path, value)
+    children = () if leaf.terminal else expand(tree, leaf, backend)
+    for node in children or (leaf,):
+        scored = path if node is leaf else path + [node]
+        backup(scored, evaluate(node, backend, tree.config))
         tree.total_backups += 1
-    else:
-        children = expand(tree, leaf, backend)
-        if not children:
-            # Dead end: the leaf just became terminal with reward -1.
-            value = evaluate(leaf, backend, tree.config)
-            tree.total_evaluations += 1
-            backup(path, value)
-            tree.total_backups += 1
-        else:
-            for child in children:
-                value = evaluate(child, backend, tree.config)
-                tree.total_evaluations += 1
-                backup(path + [child], value)
-                tree.total_backups += 1
     _refresh_exhausted(path)
     tree.simulations_run += 1
 
@@ -314,6 +299,31 @@ def build_tree(
     return tree
 
 
+def sample_path(
+    state: ReasoningState,
+    backend: PolicyValueBackend,
+    temperature: float,
+    max_depth: int,
+    rng: random.Random,
+) -> ReasoningState:
+    """Extend ``state`` one sampled step at a time, each request seeded from
+    ``rng``, until the path answers, dead-ends or hits the depth budget; the
+    last two leave the returned state without an answer."""
+    while not is_terminal(state, max_depth):
+        proposals = backend.propose_steps(
+            ProposalRequest(
+                state=state,
+                n_samples=1,
+                temperature=temperature,
+                seed=rng.randrange(2**63),
+            )
+        )
+        if not proposals:
+            break  # dead end: return the unanswered partial path
+        state = apply_step(state, proposals[0].step, max_depth)
+    return state
+
+
 def mc_rollout_estimate(
     state: ReasoningState,
     gold_answer: str | Answer,
@@ -324,9 +334,8 @@ def mc_rollout_estimate(
 ) -> float:
     """Average terminal reward over independent base-policy rollouts.
 
-    Each rollout samples one step at a time at temperature 1 until the path
-    answers, dead-ends, or hits the depth budget; unanswered terminations
-    count as reward -1.
+    Each rollout samples a path at temperature 1; a correct answer scores
+    1, anything else (a wrong answer, a dead end, the depth budget) -1.
     """
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
@@ -334,24 +343,8 @@ def mc_rollout_estimate(
     rng = random.Random(seed)
     total = 0.0
     for _ in range(n_rollouts):
-        current = state
-        reward: float | None = None
-        while reward is None:
-            if is_terminal(current, max_depth):
-                reward = 1.0 if is_correct(current.answer, gold) else -1.0
-                break
-            request = ProposalRequest(
-                state=current,
-                n_samples=1,
-                temperature=1.0,
-                seed=rng.randrange(2**63),
-            )
-            proposals = backend.propose_steps(request)
-            if not proposals:
-                reward = -1.0
-                break
-            current = apply_step(current, proposals[0].step, max_depth)
-        total += reward
+        final = sample_path(state, backend, 1.0, max_depth, rng)
+        total += 1.0 if is_correct(final.answer, gold) else -1.0
     return total / n_rollouts
 
 
@@ -418,15 +411,7 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
         "seed": tree.seed,
         "simulations_run": tree.simulations_run,
         "total_backups": tree.total_backups,
-        "config": {
-            "c_puct": tree.config.c_puct,
-            "n_simulations": tree.config.n_simulations,
-            "expansion_width": tree.config.expansion_width,
-            "max_depth": tree.config.max_depth,
-            "temperature": tree.config.temperature,
-            "evaluation": tree.config.evaluation.value,
-            "q_init": tree.config.q_init,
-        },
+        "config": {**asdict(tree.config), "evaluation": tree.config.evaluation.value},
         "nodes": nodes,
     }
 

@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import socket
+import sys
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -133,7 +134,13 @@ def dedupe_proposals(proposals: list[Proposal]) -> list[Proposal]:
     return unique
 
 
-def _step_from_wire(payload: dict) -> Step:
+def _step_from_wire(payload) -> Step:
+    """A proposal as the client reads it: a JSON object whose
+    ``mean_log_prob`` is a finite number, whose ``contains_code`` and
+    ``code_errored`` are booleans when present and whose ``code_output`` is
+    a string or null. Anything else is a TransportError."""
+    if not isinstance(payload, dict):
+        raise TransportError(f"proposal is not a JSON object: {payload!r}")
     try:
         kind = StepKind(payload.get("kind"))
     except ValueError:
@@ -141,15 +148,25 @@ def _step_from_wire(payload: dict) -> Step:
     text = payload.get("text")
     if not isinstance(text, str):
         raise TransportError("proposal text missing or not a string")
+    mean_log_prob = payload.get("mean_log_prob")
+    flags = (payload.get("contains_code", False), payload.get("code_errored", False))
+    code_output = payload.get("code_output")
+    if (
+        type(mean_log_prob) not in (int, float)
+        or not abs(mean_log_prob) <= sys.float_info.max  # NaN, inf, a huge integer
+        or any(type(flag) is not bool for flag in flags)
+        or not isinstance(code_output, (str, type(None)))
+    ):
+        raise TransportError(f"malformed proposal fields: {payload!r:.300}")
     # The answer is parsed from the text; a v1 payload's "answer" field is
     # not read, so it cannot disagree with the text.
     return Step(
         kind=kind,
         text=text,
-        mean_log_prob=float(payload.get("mean_log_prob", 0.0)),
-        contains_code=bool(payload.get("contains_code", False)),
-        code_errored=bool(payload.get("code_errored", False)),
-        code_output=payload.get("code_output"),
+        mean_log_prob=float(mean_log_prob),
+        contains_code=flags[0],
+        code_errored=flags[1],
+        code_output=code_output,
     )
 
 
@@ -194,7 +211,9 @@ class RemoteBackend(PolicyValueBackend):
     state plus that proposal; one that ignores it answers without the list,
     and the caller then asks /value for each. A ``values`` entry that is not
     a list of the proposals' length is a TransportError. /value answers and
-    attached values go through one reader (``_value_from_wire``).
+    attached values go through one reader (``_value_from_wire``). A reply
+    that is not a JSON object, or a proposal ``_step_from_wire`` refuses, is
+    a TransportError that is not retried.
 
     The base URL must be ``http://`` or ``https://`` with a host; anything
     else is a ContractViolation when the client is built. Requests carry the
@@ -312,7 +331,12 @@ class RemoteBackend(PolicyValueBackend):
                     raise TransportError(
                         f"{path} returned {response.status_code}: {response.text[:200]}"
                     )
-                return response.json()
+                payload = response.json()
+                if not isinstance(payload, dict):
+                    raise TransportError(
+                        f"{path} reply is not a JSON object: {response.text[:200]}"
+                    )
+                return payload
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
         raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error

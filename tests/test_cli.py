@@ -1,13 +1,18 @@
 """End-to-end command-line tests against the toy backend."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, main
+from rsp.datagen import manifest_path_for
 from rsp.policy import BACKEND_URL_ENV, serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
 from conftest import stop_server
+
+# Config files whose one value has the wrong JSON type for its setting.
+CONFIGS = Path(__file__).parent / "configs"
 
 
 def write_dataset(tmp_path, rows, name="data.jsonl"):
@@ -60,6 +65,19 @@ def test_solve_without_golds_omits_accuracy(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert "accuracy" not in report["summary"]
     assert all(e["correct"] is None for e in report["reports"])
+
+
+def test_solve_summary_keys_are_in_a_fixed_order(tmp_path):
+    keys = ["strategy", "n_questions", "n_solutions", "avg_time_s", "avg_steps", "avg_candidates"]
+    records = corpus_to_records(toy_corpus(2, 1))
+    for rows, expected in (
+        (records, keys + ["accuracy"]),
+        ([{"id": r["id"], "question": r["question"]} for r in records], keys),
+    ):
+        dataset = write_dataset(tmp_path, rows)
+        out = tmp_path / "report.json"
+        assert main(["solve", dataset, "--out", str(out)]) == EXIT_OK
+        assert list(json.loads(out.read_text())["summary"]) == expected
 
 
 def test_solve_empty_dataset_succeeds(tmp_path, capsys):
@@ -188,6 +206,11 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
         ["--strategy", "mcts", "--c-puct", "inf"],
         ["--strategy", "sbs", "--temperature", "inf"],
         ["--strategy", "mcts", "--temperature", "inf"],
+        ["--config", str(CONFIGS / "b1_float.json")],
+        ["--config", str(CONFIGS / "jobs_true.json")],
+        ["--config", str(CONFIGS / "b2_string.json")],
+        ["--config", str(CONFIGS / "seed_float.json")],
+        ["--config", str(CONFIGS / "temperature_string.json")],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -196,6 +219,38 @@ def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
     assert main(["solve", dataset, "--out", str(out), *flags]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_unknown_strategy_in_a_config_file_exits_before_the_dataset_loads(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"strategy": "beam"}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    assert main(["solve", missing, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown strategy 'beam'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_null_config_values_mean_the_built_in_defaults(tmp_path, command):
+    dataset = toy_dataset(tmp_path, n=2)
+    config = tmp_path / "cfg.json"
+    keys = [
+        "strategy", "backend", "toy_mode", "backend_url", "b1", "b2", "n_simulations",
+        "c_puct", "t_max", "temperature", "k", "seed", "jobs", "trees_per_question",
+        "max_pos", "max_neg", "round",
+    ]
+    config.write_text(json.dumps(dict.fromkeys(keys)), encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert main([command, dataset, "--out", str(out), *extra]) == EXIT_OK
+        if command == "solve":
+            report = json.loads(out.read_text())
+            outputs.append((_without_timings(report), report["config"]))
+        else:
+            outputs.append((out.read_bytes(), manifest_path_for(out).read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -324,6 +379,8 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
         ["--max-neg", "-1"],
         ["--c-puct", "nan"],
         ["--temperature", "inf"],
+        ["--config", str(CONFIGS / "trees_per_question_float.json")],
+        ["--config", str(CONFIGS / "c_puct_true.json")],
     ],
 )
 def test_generate_rejects_invalid_settings_before_writing(tmp_path, capsys, flags):

@@ -249,7 +249,7 @@ def test_first_simulation_backs_up_every_new_child():
     tree = fresh_tree(state, config=SearchConfig(evaluation=EvaluationMode.MODEL_ONLY))
     run_simulation(tree, backend)
     assert tree.simulations_run == 1
-    assert tree.total_evaluations == tree.total_backups == 3
+    assert tree.total_backups == 3
     assert tree.root.stats.visits == 3
     assert [c.stats.visits for c in tree.root.children] == [1, 1, 1]
 
@@ -293,7 +293,7 @@ def test_model_only_search_values_each_state_once():
     assert sorted(backend.value_calls) == sorted({answered.render(), stuck.render()})
     assert leaf.stats.total_value == 0.5 * leaf.stats.visits
     assert stuck_node.stats.total_value == 0.25 * 2
-    assert tree.total_evaluations == tree.total_backups > len(backend.value_calls)
+    assert tree.total_backups > len(backend.value_calls)
 
 
 def _branching_script(depth=3, width=3):
@@ -415,7 +415,7 @@ def test_visit_counts_conserve_across_a_build():
             SearchConfig(n_simulations=40),
             seed=rng.randrange(2**31),
         )
-        assert tree.root.stats.visits == tree.total_backups == tree.total_evaluations
+        assert tree.root.stats.visits == tree.total_backups
         stack = [tree.root]
         while stack:
             node = stack.pop()
@@ -513,6 +513,22 @@ def test_snapshot_round_trip_preserves_ranking_state():
     assert tree_to_snapshot(rebuilt) == doc
     assert rebuilt.simulations_run == tree.simulations_run
     assert rebuilt.gold_answer == tree.gold_answer
+
+
+def test_snapshot_config_keys_are_in_a_fixed_order():
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    config = SearchConfig(n_simulations=3, evaluation=EvaluationMode.MODEL_ONLY)
+    tree = build_tree(problem.root_state(), None, backend, config, seed=5)
+    assert list(tree_to_snapshot(tree)["config"].items()) == [
+        ("c_puct", 1.25),
+        ("n_simulations", 3),
+        ("expansion_width", 5),
+        ("max_depth", 8),
+        ("temperature", 1.0),
+        ("evaluation", "model_only"),
+        ("q_init", 0.0),
+    ]
 
 
 def _sweep_trace(tree, beam_width):

@@ -11,11 +11,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+from rsp.cli import EXIT_OK, main
 from rsp.core import STEP_OPEN, ContractViolation, Reward, Step, apply_step, normalize_answer, answers_equivalent
 from rsp.datagen import harvest_paths
 from rsp.inference import greedy_decode, majority_vote, mcts_decode, sbs_decode
 from rsp.mcts import SearchConfig, build_tree, mc_rollout_estimate
 from rsp.policy import (
+    BACKEND_URL_ENV,
     SERVER_POLL_INTERVAL,
     ProposalRequest,
     RemoteBackend,
@@ -25,7 +27,14 @@ from rsp.policy import (
     _step_to_wire,
     serve_backend,
 )
-from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_corpus, toy_state_decoder
+from rsp.toyenv import (
+    Mode,
+    ToyBackend,
+    corpus_to_records,
+    generate_problem,
+    toy_corpus,
+    toy_state_decoder,
+)
 from conftest import ScriptedBackend, answer_step, code_step, make_state, stop_server
 
 
@@ -943,3 +952,64 @@ def test_wire_values_out_of_range_are_clamped_with_a_warning(caplog, path, raw, 
 def test_wire_value_nan_is_refused(path):
     with pytest.raises(ContractViolation, match=r"\[-1, 1\]"):
         _read_value_over(path, float("nan"))
+
+
+_PROPOSAL = _step_to_wire(code_step())
+
+
+@pytest.mark.parametrize(
+    "path, reply",
+    [
+        ("/propose", {"proposals": ["abc"]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "mean_log_prob": "abc"}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "mean_log_prob": None}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "mean_log_prob": True}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "mean_log_prob": -(10**400)}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "mean_log_prob": float("nan")}]}),
+        ("/propose", {"proposals": [{k: v for k, v in _PROPOSAL.items() if k != "mean_log_prob"}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "contains_code": 1}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "code_errored": "no"}]}),
+        ("/propose", {"proposals": [{**_PROPOSAL, "code_output": 5}]}),
+        ("/propose", [_PROPOSAL]),
+        ("/value", [0.5]),
+        ("/value", "0.5"),
+    ],
+    ids=[
+        "proposal-string", "mlp-string", "mlp-null", "mlp-bool", "mlp-huge", "mlp-nan", "mlp-missing",
+        "contains-code-int", "code-errored-string", "code-output-int", "propose-list",
+        "value-list", "value-string",
+    ],
+)
+def test_malformed_replies_are_transport_errors_without_retry(path, reply):
+    server, handler = _start_stub([(200, reply)] * 3)
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        with pytest.raises(TransportError):
+            if path == "/value":
+                remote.predict_value(make_state())
+            else:
+                remote.propose_steps(
+                    ProposalRequest(state=make_state(), n_samples=1, temperature=1.0, seed=0)
+                )
+        assert len(handler.requests_seen) == 1
+    finally:
+        stop_server(server)
+
+
+def test_a_malformed_proposal_fails_its_question_and_the_run_goes_on(tmp_path, monkeypatch):
+    corpus = toy_corpus(2, seed=3)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(json.dumps(row) + "\n" for row in corpus_to_records(corpus)), encoding="utf-8"
+    )
+    server, handler = _start_stub([(200, {"proposals": ["abc"]})] * 2)
+    out = tmp_path / "report.json"
+    try:
+        monkeypatch.setenv(BACKEND_URL_ENV, _url(server))
+        assert main(["solve", str(dataset), "--backend", "remote", "--out", str(out)]) == EXIT_OK
+    finally:
+        stop_server(server)
+    reports = json.loads(out.read_text())["reports"]
+    assert [e["correct"] for e in reports] == [False, False]
+    assert all("not a JSON object" in e["error"] for e in reports)
+    assert len(handler.requests_seen) == 2
