@@ -92,6 +92,10 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 STRATEGIES = ("greedy", "sbs", "mcts", "maj")
 
+# The largest beam width (b1, for solve and inspect) and vote count (k): far
+# above any useful width, and small enough that a beam that wide fits in memory.
+MAX_WIDTH = 1000
+
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -195,6 +199,9 @@ def _solve_search_config(settings: dict) -> SearchConfig:
     for key in ("b1", "k", "jobs"):
         if settings[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+    for key in ("b1", "k"):
+        if settings[key] > MAX_WIDTH:
+            raise ConfigError(f"{key} must be <= {MAX_WIDTH}")
     return inference_search_config(
         c_puct=settings["c_puct"],
         n_simulations=settings["n_simulations"],
@@ -292,8 +299,8 @@ def _solve_one(
 
 def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: str | None) -> dict:
     search = _solve_search_config(settings)
-    rows = _load_dataset(dataset_path, require_gold=False)
     backend = _make_backend(settings, default_toy_mode=Mode.ORACLE)
+    rows = _load_dataset(dataset_path, require_gold=False)
     dump_dir = None
     if dump_trees:
         if settings["strategy"] != "mcts":
@@ -348,8 +355,8 @@ def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
         temperature=1.0 if temperature is None else temperature,
         evaluation=EvaluationMode.TERMINAL_REWARD,
     )
-    rows = _load_dataset(dataset_path, require_gold=True)
     backend = _make_backend(settings, default_toy_mode=Mode.COLD)
+    rows = _load_dataset(dataset_path, require_gold=True)
 
     def work(item: tuple[int, dict]) -> list:
         index, row = item
@@ -415,6 +422,8 @@ def _step_caption(node) -> str:
 def run_inspect(snapshot_path: str, beam_width: int) -> str:
     if beam_width < 1:
         raise ConfigError("b1 must be >= 1")
+    if beam_width > MAX_WIDTH:
+        raise ConfigError(f"b1 must be <= {MAX_WIDTH}")
     try:
         doc = json.loads(Path(snapshot_path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import socket
+import socketserver
 import sys
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
@@ -401,11 +402,8 @@ def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRe
     with_values = body.get("with_values", False)
     if type(n_samples) is not int:
         raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
-    try:
-        finite = type(temperature) in (int, float) and math.isfinite(temperature)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
+    # abs(x) <= max is false for NaN and inf, and exact for a huge integer
+    if type(temperature) not in (int, float) or not abs(temperature) <= sys.float_info.max:
         raise ValueError(f"temperature must be a finite number, not {temperature!r}")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"seed must be an integer or null, not {seed!r}")
@@ -420,7 +418,24 @@ def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRe
     )
 
 
-class _BackendRequestHandler(BaseHTTPRequestHandler):
+# Limits as in http.server: bytes in the request line or a header line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_HTTP_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 414: "URI Too Long",
+            431: "Request Header Fields Too Large", 500: "Internal Server Error",
+            501: "Not Implemented", 505: "HTTP Version Not Supported"}
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _http_date() -> str:
+    """The current time as a Date header value, in English whatever the locale."""
+    t = time.gmtime()
+    return time.strftime(f"{_DAYS[t.tm_wday]}, %d {_MONTHS[t.tm_mon - 1]} %Y %H:%M:%S GMT", t)
+
+
+class _BackendRequestHandler(socketserver.StreamRequestHandler):
     """Serves an in-process backend over the wire protocol (used for tests
     and for exposing the toy environment to external clients).
 
@@ -428,61 +443,95 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
     ``values`` list as well: the backend's ``predict_value`` for the state
     plus each proposed step, computed in the same request.
 
-    Connections are kept alive between requests. Every request body is read
-    in full before the reply, whatever the reply, so the next request on the
-    connection starts where this one ends.
+    The handler reads the request line and headers itself and writes each
+    reply, status line, headers and JSON body, in one send. Connections are
+    kept alive between requests, and each request body is read in full
+    before the reply, so the next request starts where this one ends. A
+    request that breaks the protocol edges listed in the README is answered
+    with ``Connection: close``, and the connection closes.
     """
 
     backend: PolicyValueBackend
     state_decoder = None  # callable: rendered text -> ReasoningState
-    protocol_version = "HTTP/1.1"
-    # The headers and the body go out in two writes; with Nagle's algorithm
-    # the body can wait for the client's delayed ACK of the headers.
+    # Pipelined replies, or a 100 Continue and its reply, are back-to-back writes.
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt: str, *args) -> None:  # quiet by default
-        logger.debug("wire server: " + fmt, *args)
+    def handle(self) -> None:
+        while self._serve_one():
+            pass
+
+    def _serve_one(self) -> bool:
+        """Read one request and answer it; whether to read another."""
+        self.keep_alive = False  # until the request has been read
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False  # the client closed the connection
+        if len(line) > _MAX_LINE:
+            return self._reply(414, {"error": "request line too long"})
+        words = line.split()
+        version = _HTTP_VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            return self._reply(400, {"error": f"bad request line {line[:200]!r}"})
+        version = (int(version[1]), int(version[2]))
+        if version >= (2, 0):
+            return self._reply(505, {"error": "HTTP version not supported"})
+        headers = self.headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._reply(431, {"error": "header line too long"})
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if headers.setdefault(name, value) != value and name == "content-length":
+                return self._reply(400, {"error": "conflicting Content-Length values"})
+        else:
+            return self._reply(431, {"error": f"more than {_MAX_HEADERS} headers"})
+        if not line:
+            return False  # cut off inside the headers
+        if "transfer-encoding" in headers:
+            return self._reply(400, {"error": "Transfer-Encoding is not supported"})
+        if words[0] != b"POST":
+            return self._reply(501, {"error": f"unsupported method {words[0].decode('latin-1')!r}"})
+        connection = headers.get("connection", "").lower()
+        self.keep_alive = connection == "keep-alive" or (version >= (1, 1) and connection != "close")
+        if version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        path = words[1].decode("latin-1")  # a leading // is not a scheme-less URL here
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        return self._answer()
 
     def _read_body(self) -> bytes | None:
-        """The request body by its Content-Length; None when that header
-        is missing or invalid."""
-        try:
-            length = int(self.headers["Content-Length"])
-        except (TypeError, ValueError):
-            return None
-        return self.rfile.read(length) if length >= 0 else None
+        """The body by its Content-Length; None when that is missing or not digits."""
+        length = self.headers.get("content-length", "")
+        return self.rfile.read(int(length)) if length.isdecimal() else None
 
-    def _reply(self, code: int, payload: dict) -> None:
+    def _reply(self, code: int, payload: dict) -> bool:
+        """Send the reply in one write; whether the connection stays open."""
         blob = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.send_header(VERSION_HEADER, WIRE_VERSION)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(blob)
+        close = "" if self.keep_alive else "Connection: close\r\n"
+        self.request.sendall(
+            f"HTTP/1.1 {code} {_REASONS[code]}\r\nDate: {_http_date()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(blob)}\r\n"
+            f"{VERSION_HEADER}: {WIRE_VERSION}\r\n{close}\r\n".encode() + blob
+        )
+        return self.keep_alive
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
+    def _answer(self) -> bool:
         raw = self._read_body()
         if raw is None:
             # Where this request ends is unknown, so nothing after it on the
             # connection can be read as a request.
-            self.close_connection = True
-            self._reply(400, {"error": "Content-Length missing or invalid"})
-            return
+            self.keep_alive = False
+            return self._reply(400, {"error": "Content-Length missing or invalid"})
         if self.path not in ("/propose", "/value"):
-            self._reply(404, {"error": f"unknown path {self.path}"})
-            return
+            return self._reply(404, {"error": f"unknown path {self.path}"})
         # A client without the header (curl, say) is served; one that sends
         # another version would misread the replies.
-        version = self.headers.get(VERSION_HEADER)
-        if version is not None and version != WIRE_VERSION:
-            self._reply(
-                400,
-                {"error": f"wire version {version!r} is not {WIRE_VERSION!r}"},
-            )
-            return
+        version = self.headers.get(VERSION_HEADER, WIRE_VERSION)
+        if version != WIRE_VERSION:
+            return self._reply(400, {"error": f"wire version {version!r} is not {WIRE_VERSION!r}"})
         # A request that cannot be parsed, or that the backend rejects by
         # contract, fails the same way on every attempt: answer 4xx so the
         # client does not retry it. Only unexpected failures are 500s.
@@ -492,8 +541,7 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
             if self.path == "/propose":
                 request = _proposal_request_from_wire(state, body)
         except (ValueError, KeyError, TypeError, EngineError) as exc:
-            self._reply(400, {"error": f"bad request: {exc}"})
-            return
+            return self._reply(400, {"error": f"bad request: {exc}"})
         try:
             backend = type(self).backend
             if self.path == "/propose":
@@ -502,29 +550,26 @@ class _BackendRequestHandler(BaseHTTPRequestHandler):
                 if request.with_values:
                     payload["values"] = [
                         backend.predict_value(
-                            ReasoningState(
-                                state.question_id,
-                                state.question_text,
-                                state.steps + (p.step,),
-                            )
+                            ReasoningState(state.question_id, state.question_text, state.steps + (p.step,))
                         ).value
                         for p in proposals
                     ]
             else:
                 payload = {"value": backend.predict_value(state).value}
         except EngineError as exc:
-            self._reply(400, {"error": str(exc)})
-            return
+            return self._reply(400, {"error": str(exc)})
         except Exception as exc:  # a server fault: the client may retry
             logger.exception("wire server: %s failed", self.path)
-            self._reply(500, {"error": str(exc)})
-            return
-        self._reply(200, payload)
+            return self._reply(500, {"error": str(exc)})
+        return self._reply(200, payload)
 
 
-class _BackendServer(ThreadingHTTPServer):
-    """A threading HTTP server whose server_close() also ends the
+class _BackendServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server whose server_close() also ends the
     connections it keeps alive, so no handler thread serves after it."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, *args, **kwargs) -> None:
         self._connections: set[socket.socket] = set()
@@ -554,24 +599,19 @@ class _BackendServer(ThreadingHTTPServer):
                 pass  # the peer already went away
 
 
-def serve_backend(backend: PolicyValueBackend, state_decoder, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+def serve_backend(backend: PolicyValueBackend, state_decoder, host: str = "127.0.0.1", port: int = 0) -> _BackendServer:
     """Expose ``backend`` over HTTP; returns the (already started) server.
 
     ``state_decoder`` maps a rendered state string back to a ReasoningState
-    the backend understands. The caller owns shutdown(), which stops
-    accepting connections, and server_close(), which also closes the
-    kept-alive ones.
+    the backend understands. The server is a socketserver threading TCP
+    server with the handler above; it does not load ``http.server``. The
+    caller owns shutdown(), which stops accepting connections, and
+    server_close(), which also closes the kept-alive ones.
     """
-    handler = type(
-        "BoundBackendHandler",
-        (_BackendRequestHandler,),
-        {"backend": backend, "state_decoder": staticmethod(state_decoder)},
-    )
+    bound = {"backend": backend, "state_decoder": staticmethod(state_decoder)}
+    handler = type("BoundBackendHandler", (_BackendRequestHandler,), bound)
     server = _BackendServer((host, port), handler)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": SERVER_POLL_INTERVAL},
-        daemon=True,
-    )
-    thread.start()
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": SERVER_POLL_INTERVAL}, daemon=True
+    ).start()
     return server

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, main
+from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, MAX_WIDTH, main
 from rsp.datagen import manifest_path_for
 from rsp.policy import BACKEND_URL_ENV, serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
@@ -211,6 +211,9 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
         ["--config", str(CONFIGS / "b2_string.json")],
         ["--config", str(CONFIGS / "seed_float.json")],
         ["--config", str(CONFIGS / "temperature_string.json")],
+        ["--strategy", "sbs", "--b1", "1000000000000000000000000000000"],
+        ["--strategy", "mcts", "--b1", str(MAX_WIDTH + 1)],
+        ["--strategy", "maj", "--k", str(MAX_WIDTH + 1)],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -228,6 +231,40 @@ def test_an_unknown_strategy_in_a_config_file_exits_before_the_dataset_loads(tmp
     missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
     assert main(["solve", missing, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert "unknown strategy 'beam'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--b1", "1000000000000000000000000000000"], f"b1 must be <= {MAX_WIDTH}"),
+        (["--strategy", "maj", "--k", str(MAX_WIDTH + 1)], f"k must be <= {MAX_WIDTH}"),
+    ],
+    ids=["b1", "k"],
+)
+def test_widths_above_the_bound_exit_before_the_dataset_loads(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.json"
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    assert main(["solve", missing, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [('{"toy_mode": "bogus"}', "unknown toy mode 'bogus'"), ('{"backend": "bogus"}', "unknown backend 'bogus'")],
+    ids=["toy_mode", "backend"],
+)
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_a_bad_backend_choice_in_a_config_file_exits_before_the_dataset_loads(
+    tmp_path, capsys, command, setting, message
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(setting, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    assert main([command, missing, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -510,6 +547,14 @@ def test_inspect_rejects_a_beam_width_below_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "b1 must be >= 1" in captured.err
+
+
+def test_inspect_rejects_a_beam_width_above_the_bound(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tree.json")  # exit 3 if it were read
+    assert main(["inspect", missing, "--b1", str(MAX_WIDTH + 1)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"b1 must be <= {MAX_WIDTH}" in captured.err
 
 
 def test_inspect_rejects_missing_and_malformed_snapshots(tmp_path, capsys):

@@ -93,3 +93,51 @@ def test_only_the_remote_client_loads_requests(tmp_path):
     assert result["loaded_before_client"] == []
     assert result["requests_after_client"] is True
     assert result["remote_value"] == result["toy_value"]
+
+
+# Runs in the child: import rsp, then serve a toy backend and answer one
+# /value request over a raw socket. Prints whether http.server was loaded
+# after each, as JSON.
+_SERVER_CHILD = r"""
+import json
+import socket
+import sys
+
+import rsp
+from rsp.policy import serve_backend
+from rsp.toyenv import Mode, ToyBackend, toy_corpus, toy_state_decoder
+
+after_import = "http.server" in sys.modules
+toy = ToyBackend(mode=Mode.ORACLE)
+server = serve_backend(toy, toy_state_decoder(toy))
+try:
+    body = json.dumps({"state": toy_corpus(1, 0)[0].root_state().render()}).encode()
+    with socket.create_connection(server.server_address, timeout=10) as sock:
+        sock.sendall(
+            b"POST /value HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        with sock.makefile("rb") as reply:
+            status = reply.readline().split()[1].decode()
+            reply.read()
+finally:
+    server.shutdown()
+    server.server_close()
+print(json.dumps([after_import, status, "http.server" in sys.modules]))
+"""
+
+
+def test_serving_does_not_load_http_server():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _SERVER_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [False, "200", False]

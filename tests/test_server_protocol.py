@@ -1,0 +1,258 @@
+"""The reference server's HTTP/1.1 edges, checked over raw sockets.
+
+Each case sends exactly the bytes it shows and reads the replies itself, so
+it pins what the server does with them, not what a client library sends.
+The server closes a connection after a refusal; where the refused request
+leaves a body unread, that close may arrive as a reset, which counts as
+closed.
+"""
+
+import json
+import re
+import socket
+import time
+from email.utils import parsedate_to_datetime
+
+import pytest
+
+from rsp.policy import VERSION_HEADER, WIRE_VERSION, serve_backend
+from rsp.toyenv import Mode, ToyBackend, toy_corpus, toy_state_decoder
+from conftest import stop_server
+
+STATE = toy_corpus(1, 0)[0].root_state()
+BODY = json.dumps({"state": STATE.render()}).encode()
+PROPOSE = json.dumps(
+    {"state": STATE.render(), "n_samples": 2, "temperature": 1.0, "seed": 3}
+).encode()
+
+
+@pytest.fixture(scope="module")
+def served():
+    toy = ToyBackend(mode=Mode.ORACLE)
+    server = serve_backend(toy, toy_state_decoder(toy))
+    yield server, {"value": toy.predict_value(STATE).value}
+    stop_server(server)
+
+
+class Connection:
+    """One client connection that sends raw bytes and reads whole replies."""
+
+    def __init__(self, server):
+        self.sock = socket.create_connection(server.server_address, timeout=10)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.stream = self.sock.makefile("rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+        self.sock.close()
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def reply(self) -> tuple[int, dict, bytes]:
+        """The next reply's status code, headers (names in lower case) and
+        body."""
+        status = self.stream.readline()
+        assert status.startswith(b"HTTP/1.1 "), status
+        headers = {}
+        while (line := self.stream.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.stream.read(int(headers.get("content-length", 0)))
+        return int(status.split()[1]), headers, body
+
+    def closed_by_server(self) -> bool:
+        """Whether the server has closed the connection; a connection it
+        keeps open times out here instead."""
+        try:
+            return self.stream.read(1) == b""
+        except ConnectionResetError:
+            return True
+
+
+def post(path="/value", body=BODY, version="HTTP/1.1", headers=()) -> bytes:
+    lines = [f"POST {path} {version}", f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _refused_with_close(server, data: bytes) -> int:
+    with Connection(server) as connection:
+        connection.send(data)
+        code, headers, _ = connection.reply()
+        assert headers.get("connection", "").lower() == "close"
+        assert connection.closed_by_server()
+    return code
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        (b"POST /" + b"v" * 65536, 414),
+        (b"POST /value extra HTTP/1.1\r\n", 400),
+        (b"POST /value HTTP/1.1\r\nX-Long: " + b"h" * 65536, 431),
+        (b"POST /value HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)), 431),
+        (b"GET /value HTTP/1.1\r\n\r\n", 501),
+        (b"PUT /value HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    ],
+    ids=[
+        "request-line-over-65536-bytes",
+        "four-word-request-line",
+        "header-line-over-65536-bytes",
+        "over-100-headers",
+        "get",
+        "put",
+    ],
+)
+def test_protocol_errors_are_answered_and_close(served, data, code):
+    server, _ = served
+    assert _refused_with_close(server, data) == code
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        (b"POST /value\r\n", 400),
+        (b"POST /value HTTP/1.x\r\n", 400),
+        (b"POST /value HTTPS/1.1\r\n", 400),
+        (b"POST /value HTTP/1\r\n", 400),
+        (b"POST /value HTTP/01234567890.1\r\n", 400),
+        (b"POST /value HTTP/2.0\r\n", 505),
+    ],
+    ids=["no-version", "version-letters", "version-scheme", "version-no-minor", "version-too-long", "http2"],
+)
+def test_a_bad_version_is_answered_with_a_status_line_and_closes(served, data, code):
+    # Not an HTTP/0.9 reply: a bare body without status line or headers.
+    server, _ = served
+    assert _refused_with_close(server, data) == code
+
+
+def test_two_different_content_lengths_are_refused(served):
+    server, _ = served
+    data = post(headers=[f"Content-Length: {len(BODY) + 1}"])
+    assert _refused_with_close(server, data) == 400
+
+
+@pytest.mark.parametrize("length", [f"+{len(BODY)}", f"{len(BODY)}.0"], ids=["signed", "decimal"])
+def test_a_content_length_that_is_not_plain_digits_is_refused(served, length):
+    server, _ = served
+    data = f"POST /value HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode() + BODY
+    assert _refused_with_close(server, data) == 400
+
+
+@pytest.mark.parametrize("coding", ["chunked", "identity"])
+def test_any_transfer_encoding_is_refused(served, coding):
+    server, _ = served
+    data = post(headers=[f"Transfer-Encoding: {coding}"])
+    assert _refused_with_close(server, data) == 400
+
+
+def test_equal_repeated_content_lengths_are_served(served):
+    server, expected = served
+    with Connection(server) as connection:
+        connection.send(post(headers=[f"Content-Length: {len(BODY)}"]))
+        code, _, body = connection.reply()
+    assert (code, json.loads(body)) == (200, expected)
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_read(served):
+    server, expected = served
+    head, _, body = post(headers=["Expect: 100-continue"]).partition(b"\r\n\r\n")
+    with Connection(server) as connection:
+        connection.send(head + b"\r\n\r\n")
+        assert connection.reply() == (100, {}, b"")
+        connection.send(body)
+        code, headers, reply = connection.reply()
+        assert (code, json.loads(reply)) == (200, expected)
+        assert "connection" not in headers
+        connection.send(post())  # still open
+        assert connection.reply()[0] == 200
+
+
+def test_http_1_0_closes_after_the_reply_unless_asked_to_keep_alive(served):
+    server, expected = served
+    with Connection(server) as connection:
+        connection.send(post(version="HTTP/1.0"))
+        code, headers, body = connection.reply()
+        assert (code, json.loads(body)) == (200, expected)
+        assert headers["connection"].lower() == "close"
+        assert connection.closed_by_server()
+    with Connection(server) as connection:
+        for _ in range(2):
+            connection.send(post(version="HTTP/1.0", headers=["Connection: keep-alive"]))
+            code, _, body = connection.reply()
+            assert (code, json.loads(body)) == (200, expected)
+
+
+def test_an_http_1_1_client_may_ask_to_close(served):
+    server, _ = served
+    with Connection(server) as connection:
+        connection.send(post(headers=["Connection: close"]))
+        code, headers, _ = connection.reply()
+        assert code == 200 and headers["connection"].lower() == "close"
+        assert connection.closed_by_server()
+
+
+def test_header_names_match_in_any_case(served):
+    server, expected = served
+    head = f"POST /value HTTP/1.1\r\ncontent-LENGTH: {len(BODY)}\r\n\r\n"
+    with Connection(server) as connection:
+        connection.send(head.encode() + BODY)
+        code, _, body = connection.reply()
+        assert (code, json.loads(body)) == (200, expected)
+        # the version header is read whatever its case: version 0 is refused
+        connection.send(post(headers=[f"{VERSION_HEADER.upper()}: 0"]))
+        code, _, body = connection.reply()
+        assert code == 400 and "wire version" in json.loads(body)["error"]
+
+
+def test_a_leading_double_slash_collapses_to_one(served):
+    server, expected = served
+    with Connection(server) as connection:
+        connection.send(post(path="//value"))
+        code, _, body = connection.reply()
+    assert (code, json.loads(body)) == (200, expected)
+
+
+def test_pipelined_requests_are_answered_in_order_on_one_connection(served):
+    server, expected = served
+    with Connection(server) as connection:
+        connection.send(post() + post(path="/propose", body=PROPOSE) + post())
+        replies = [connection.reply() for _ in range(3)]
+    assert [code for code, _, _ in replies] == [200, 200, 200]
+    assert json.loads(replies[0][2]) == json.loads(replies[2][2]) == expected
+    assert len(json.loads(replies[1][2])["proposals"]) == 2
+
+
+def test_a_request_sent_one_byte_at_a_time_is_served(served):
+    server, expected = served
+    with Connection(server) as connection:
+        for byte in post():
+            connection.send(bytes([byte]))
+        code, _, body = connection.reply()
+    assert (code, json.loads(body)) == (200, expected)
+
+
+@pytest.mark.parametrize(
+    "path, body, code",
+    [
+        ("/value", BODY, 200),
+        ("/propose", PROPOSE, 200),
+        ("/value", b"{not json", 400),
+        ("/nowhere", BODY, 404),
+    ],
+)
+def test_every_reply_carries_the_protocol_headers(served, path, body, code):
+    server, _ = served
+    with Connection(server) as connection:
+        connection.send(post(path=path, body=body))
+        got, headers, reply = connection.reply()
+    assert got == code
+    assert headers["content-type"] == "application/json"
+    assert int(headers["content-length"]) == len(reply)
+    assert headers[VERSION_HEADER] == WIRE_VERSION
+    assert re.fullmatch(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", headers["date"])
+    assert abs(parsedate_to_datetime(headers["date"]).timestamp() - time.time()) < 60
+    json.loads(reply)
