@@ -3,7 +3,8 @@ inspect tree snapshots.
 
 Settings are resolved as: built-in defaults, then a JSON config file
 (--config), then explicit flags. The remote backend URL is additionally
-overridden by the RSP_BACKEND_URL environment variable.
+overridden by the RSP_BACKEND_URL environment variable. Every setting is
+checked against its allowed values before any input loads.
 """
 
 from __future__ import annotations
@@ -65,36 +66,37 @@ class DatasetError(EngineError):
     pass
 
 
-# Every setting: its built-in default, and the type of the JSON value a
-# config file gives it (a JSON boolean is none of these). null in a config
-# file means the default.
-_SETTINGS = {
-    "strategy": ("sbs", str),
-    "backend": ("toy", str),
-    "toy_mode": (None, str),  # resolved per command: oracle for solve, cold for generate
-    "backend_url": (None, str),
-    "b1": (1, int),
-    "b2": (5, int),
-    "n_simulations": (40, int),
-    "c_puct": (1.25, float),
-    "t_max": (8, int),
-    "temperature": (None, float),  # resolved per strategy
-    "k": (5, int),
-    "seed": (0, int),
-    "jobs": (1, int),
-    "trees_per_question": (10, int),
-    "max_pos": (4, int),
-    "max_neg": (4, int),
-    "round": (1, int),
-}
-
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
-
 STRATEGIES = ("greedy", "sbs", "mcts", "maj")
 
 # The largest beam width (b1, for solve and inspect) and vote count (k): far
 # above any useful width, and small enough that a beam that wide fits in memory.
 MAX_WIDTH = 1000
+
+# Every setting: its built-in default, the type of the JSON value a config
+# file gives it (a JSON boolean is none of these; null means the default),
+# and its allowed values: a tuple of choices, the least allowed integer, a
+# range of integers, or None (SearchConfig checks the search settings).
+_SETTINGS = {
+    "strategy": ("sbs", str, STRATEGIES),
+    "backend": ("toy", str, ("toy", "remote")),
+    "toy_mode": (None, str, tuple(m.value for m in Mode)),  # oracle for solve, cold for generate
+    "backend_url": (None, str, None),
+    "b1": (1, int, range(1, MAX_WIDTH + 1)),
+    "b2": (5, int, None),
+    "n_simulations": (40, int, None),
+    "c_puct": (1.25, float, None),
+    "t_max": (8, int, None),
+    "temperature": (None, float, None),  # resolved per strategy
+    "k": (5, int, range(1, MAX_WIDTH + 1)),
+    "seed": (0, int, None),
+    "jobs": (1, int, 1),
+    "trees_per_question": (10, int, 1),
+    "max_pos": (4, int, 0),
+    "max_neg": (4, int, 0),
+    "round": (1, int, None),
+}
+
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -122,33 +124,40 @@ def _load_config_file(path: str) -> dict:
     return settings
 
 
+def _check(key: str, value) -> None:
+    """Refuse a value outside the setting's allowed values."""
+    allowed = _SETTINGS[key][2]
+    if isinstance(allowed, tuple):
+        if value is not None and value not in allowed:  # None: resolved per command
+            raise ConfigError(f"unknown {key.replace('_', ' ')} {value!r}")
+    elif allowed is not None:
+        low = allowed if isinstance(allowed, int) else allowed.start
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}")
+        if isinstance(allowed, range) and value not in allowed:
+            raise ConfigError(f"{key} must be <= {allowed[-1]}")
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged = {key: default for key, (default, _) in _SETTINGS.items()}
+    merged = {key: entry[0] for key, entry in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
     for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    for key, value in merged.items():
+        _check(key, value)
     return merged
 
 
 def _make_backend(settings: dict, default_toy_mode: Mode):
     if settings["backend"] == "toy":
-        mode_name = settings["toy_mode"] or default_toy_mode.value
-        try:
-            mode = Mode(mode_name)
-        except ValueError:
-            raise ConfigError(f"unknown toy mode {mode_name!r}")
-        return ToyBackend(mode=mode)
-    if settings["backend"] == "remote":
-        url = os.environ.get(BACKEND_URL_ENV) or settings["backend_url"]
-        if not url:
-            raise ConfigError(
-                f"remote backend needs --backend-url or ${BACKEND_URL_ENV}"
-            )
-        return RemoteBackend(url)
-    raise ConfigError(f"unknown backend {settings['backend']!r}")
+        return ToyBackend(mode=Mode(settings["toy_mode"] or default_toy_mode.value))
+    url = os.environ.get(BACKEND_URL_ENV) or settings["backend_url"]
+    if not url:
+        raise ConfigError(f"remote backend needs --backend-url or ${BACKEND_URL_ENV}")
+    return RemoteBackend(url)
 
 
 def _load_dataset(path: str, require_gold: bool) -> list[dict]:
@@ -194,14 +203,6 @@ def _strategy_temperature(settings: dict) -> float:
 def _solve_search_config(settings: dict) -> SearchConfig:
     """The decode-time tree settings, built (and so checked) before any
     question runs; b2, t_max and the temperature also drive beam search."""
-    if settings["strategy"] not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {settings['strategy']!r}")
-    for key in ("b1", "k", "jobs"):
-        if settings[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("b1", "k"):
-        if settings[key] > MAX_WIDTH:
-            raise ConfigError(f"{key} must be <= {MAX_WIDTH}")
     return inference_search_config(
         c_puct=settings["c_puct"],
         n_simulations=settings["n_simulations"],
@@ -298,16 +299,15 @@ def _solve_one(
 
 
 def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: str | None) -> dict:
+    if dump_trees and settings["strategy"] != "mcts":
+        raise ConfigError("--dump-trees requires --strategy mcts")
     search = _solve_search_config(settings)
     backend = _make_backend(settings, default_toy_mode=Mode.ORACLE)
     rows = _load_dataset(dataset_path, require_gold=False)
-    dump_dir = None
-    if dump_trees:
-        if settings["strategy"] != "mcts":
-            raise ConfigError("--dump-trees requires --strategy mcts")
+    dump_dir = Path(dump_trees) if dump_trees else None
+    if dump_dir:
         for row in rows:
             _dump_name(row["id"])
-        dump_dir = Path(dump_trees)
         dump_dir.mkdir(parents=True, exist_ok=True)
 
     def work(item: tuple[int, dict]) -> dict:
@@ -339,13 +339,6 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
 
 def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
-    # checked before the dataset loads, so a bad setting writes nothing
-    for key in ("trees_per_question", "jobs"):
-        if settings[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("max_pos", "max_neg"):
-        if settings[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
     temperature = settings["temperature"]
     search = SearchConfig(
         c_puct=settings["c_puct"],
@@ -420,10 +413,7 @@ def _step_caption(node) -> str:
 
 
 def run_inspect(snapshot_path: str, beam_width: int) -> str:
-    if beam_width < 1:
-        raise ConfigError("b1 must be >= 1")
-    if beam_width > MAX_WIDTH:
-        raise ConfigError(f"b1 must be <= {MAX_WIDTH}")
+    _check("b1", beam_width)
     try:
         doc = json.loads(Path(snapshot_path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -484,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=["toy", "remote"], default=None)
-        p.add_argument("--toy-mode", dest="toy_mode", choices=["cold", "oracle"], default=None)
+        p.add_argument("--backend", choices=_SETTINGS["backend"][2], default=None)
+        p.add_argument("--toy-mode", dest="toy_mode", choices=_SETTINGS["toy_mode"][2], default=None)
         p.add_argument("--backend-url", dest="backend_url", default=None)
         p.add_argument("--b2", type=int, default=None, help="proposals per expansion")
         p.add_argument("--n-sims", dest="n_simulations", type=int, default=None)

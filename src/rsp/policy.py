@@ -421,9 +421,10 @@ def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRe
 # Limits as in http.server: bytes in the request line or a header line, header lines.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+_MAX_BODY = 1 << 24  # bytes in a request body: far above any rendered state
 _HTTP_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 414: "URI Too Long",
-            431: "Request Header Fields Too Large", 500: "Internal Server Error",
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
+            414: "URI Too Long", 431: "Request Header Fields Too Large", 500: "Internal Server Error",
             501: "Not Implemented", 505: "HTTP Version Not Supported"}
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
@@ -494,6 +495,10 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
             return self._reply(400, {"error": "Transfer-Encoding is not supported"})
         if words[0] != b"POST":
             return self._reply(501, {"error": f"unsupported method {words[0].decode('latin-1')!r}"})
+        # Refused unread. int() may refuse over 4300 digits, so over 20 are not parsed.
+        length = headers.get("content-length", "")
+        if length.isdecimal() and (len(length) > 20 or int(length) > _MAX_BODY):
+            return self._reply(413, {"error": f"body over {_MAX_BODY} bytes"})
         connection = headers.get("connection", "").lower()
         self.keep_alive = connection == "keep-alive" or (version >= (1, 1) and connection != "close")
         if version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":

@@ -80,7 +80,6 @@ class ToyProblem:
     id: str
     question_text: str
     gold_answer: str
-    start_value: int
     horizon: int
     greedy_trap: bool
 
@@ -260,14 +259,12 @@ class TableProblem(ToyProblem):
         problem_id: str,
         gold_answer: str,
         table: dict[tuple[str, ...], list[ToyAction]],
-        start_value: int = 0,
         question_text: str | None = None,
     ) -> None:
         super().__init__()
         self.id = problem_id
         self.gold_answer = gold_answer
         self.table = table
-        self.start_value = start_value
         self.greedy_trap = False
         self.horizon = max((len(h) for h in table), default=0) + 1
         self.question_text = question_text or (

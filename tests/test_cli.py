@@ -195,6 +195,15 @@ def test_dump_trees_needs_the_tree_strategy(tmp_path, capsys):
     assert "mcts" in capsys.readouterr().err
 
 
+def test_dump_trees_without_the_tree_strategy_exits_before_the_dataset_loads(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    dump_dir = tmp_path / "t"
+    code = main(["solve", missing, "--strategy", "sbs", "--dump-trees", str(dump_dir)])
+    assert code == EXIT_CONFIG
+    assert "--dump-trees requires --strategy mcts" in capsys.readouterr().err
+    assert not dump_dir.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -262,6 +271,30 @@ def test_a_bad_backend_choice_in_a_config_file_exits_before_the_dataset_loads(
     config = tmp_path / "cfg.json"
     config.write_text(setting, encoding="utf-8")
     out = tmp_path / "out.jsonl"
+    missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
+    assert main([command, missing, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("generate", {"strategy": "beam"}, "unknown strategy 'beam'"),
+        ("generate", {"b1": 0}, "b1 must be >= 1"),
+        ("generate", {"k": MAX_WIDTH + 1}, f"k must be <= {MAX_WIDTH}"),
+        ("solve", {"max_pos": -1}, "max_pos must be >= 0"),
+        ("solve", {"trees_per_question": 0}, "trees_per_question must be >= 1"),
+    ],
+    ids=["generate-strategy", "generate-b1", "generate-k", "solve-max_pos", "solve-trees_per_question"],
+)
+def test_a_setting_outside_its_domain_is_refused_by_every_command(
+    tmp_path, capsys, command, setting, message
+):
+    # a setting the command does not read is still checked
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    out = tmp_path / "out.json"
     missing = str(tmp_path / "missing.jsonl")  # exit 3 if it were read
     assert main([command, missing, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err

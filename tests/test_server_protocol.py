@@ -15,7 +15,7 @@ from email.utils import parsedate_to_datetime
 
 import pytest
 
-from rsp.policy import VERSION_HEADER, WIRE_VERSION, serve_backend
+from rsp.policy import _MAX_BODY, VERSION_HEADER, WIRE_VERSION, serve_backend
 from rsp.toyenv import Mode, ToyBackend, toy_corpus, toy_state_decoder
 from conftest import stop_server
 
@@ -87,6 +87,10 @@ def _refused_with_close(server, data: bytes) -> int:
     return code
 
 
+def _over_the_limit(length) -> bytes:
+    return f"POST /value HTTP/1.1\r\nContent-Length: {length}\r\nExpect: 100-continue\r\n\r\n".encode()
+
+
 @pytest.mark.parametrize(
     "data, code",
     [
@@ -96,6 +100,10 @@ def _refused_with_close(server, data: bytes) -> int:
         (b"POST /value HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)), 431),
         (b"GET /value HTTP/1.1\r\n\r\n", 501),
         (b"PUT /value HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+        # no body follows a length over the limit, and the 413 comes before any 100 Continue
+        (_over_the_limit(10**30), 413),
+        (_over_the_limit(_MAX_BODY + 1), 413),
+        (_over_the_limit("9" * 5000), 413),
     ],
     ids=[
         "request-line-over-65536-bytes",
@@ -104,6 +112,9 @@ def _refused_with_close(server, data: bytes) -> int:
         "over-100-headers",
         "get",
         "put",
+        "content-length-10**30",
+        "content-length-over-the-limit",
+        "content-length-of-5000-digits",
     ],
 )
 def test_protocol_errors_are_answered_and_close(served, data, code):
@@ -147,6 +158,14 @@ def test_any_transfer_encoding_is_refused(served, coding):
     server, _ = served
     data = post(headers=[f"Transfer-Encoding: {coding}"])
     assert _refused_with_close(server, data) == 400
+
+
+def test_a_body_at_the_limit_is_served(served):
+    server, expected = served
+    with Connection(server) as connection:
+        connection.send(post(body=BODY + b" " * (_MAX_BODY - len(BODY))))
+        code, _, body = connection.reply()
+    assert (code, json.loads(body)) == (200, expected)
 
 
 def test_equal_repeated_content_lengths_are_served(served):
