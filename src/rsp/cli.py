@@ -35,7 +35,6 @@ from .inference import (
     MCTS_DECODE_TEMPERATURE,
     decode_tree,
     greedy_decode,
-    inference_search_config,
     majority_vote,
     q_sweep,
     sbs_decode,
@@ -82,10 +81,10 @@ _SETTINGS = {
     "toy_mode": (None, str, tuple(m.value for m in Mode)),  # oracle for solve, cold for generate
     "backend_url": (None, str, None),
     "b1": (1, int, range(1, MAX_WIDTH + 1)),
-    "b2": (5, int, None),
-    "n_simulations": (40, int, None),
-    "c_puct": (1.25, float, None),
-    "t_max": (8, int, None),
+    "b2": (SearchConfig.expansion_width, int, None),
+    "n_simulations": (SearchConfig.n_simulations, int, None),
+    "c_puct": (SearchConfig.c_puct, float, None),
+    "t_max": (SearchConfig.max_depth, int, None),
     "temperature": (None, float, None),  # resolved per strategy
     "k": (5, int, range(1, MAX_WIDTH + 1)),
     "seed": (0, int, None),
@@ -97,6 +96,8 @@ _SETTINGS = {
 }
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+_FLAG_HELP = {"b1": "beam width", "b2": "proposals per expansion", "k": "votes for maj"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -180,6 +181,12 @@ def _load_dataset(path: str, require_gold: bool) -> list[dict]:
                 raise DatasetError(
                     f"{path}:{lineno}: each record needs 'id' and 'question'"
                 )
+            if type(row["id"]) not in (str, int):  # a JSON boolean is neither
+                raise DatasetError(f"{path}:{lineno}: id must be a string or an integer, not {row['id']!r}")
+            if not isinstance(row["question"], str):
+                raise DatasetError(f"{path}:{lineno}: question must be a string, not {row['question']!r}")
+            if not isinstance(row.get("gold_answer"), (str, type(None))):
+                raise DatasetError(f"{path}:{lineno}: gold_answer must be a string or null, not {row['gold_answer']!r}")
             if row["id"] in seen:
                 raise DatasetError(f"{path}:{lineno}: duplicate id {row['id']!r}")
             seen.add(row["id"])
@@ -194,21 +201,17 @@ def _load_dataset(path: str, require_gold: bool) -> list[dict]:
     return rows
 
 
-def _strategy_temperature(settings: dict) -> float:
-    if settings["temperature"] is not None:
-        return settings["temperature"]
-    return MCTS_DECODE_TEMPERATURE if settings["strategy"] == "mcts" else 1.0
-
-
-def _solve_search_config(settings: dict) -> SearchConfig:
-    """The decode-time tree settings, built (and so checked) before any
-    question runs; b2, t_max and the temperature also drive beam search."""
-    return inference_search_config(
+def _search_config(settings: dict, evaluation: EvaluationMode, temperature: float) -> SearchConfig:
+    """The search settings, built (and so checked) before any question runs;
+    ``temperature`` applies when the setting is unset. In ``solve``, b2,
+    t_max and the temperature also drive beam search and majority vote."""
+    return SearchConfig(
         c_puct=settings["c_puct"],
         n_simulations=settings["n_simulations"],
         expansion_width=settings["b2"],
         max_depth=settings["t_max"],
-        temperature=_strategy_temperature(settings),
+        temperature=temperature if settings["temperature"] is None else settings["temperature"],
+        evaluation=evaluation,
     )
 
 
@@ -263,7 +266,7 @@ def _solve_one(
                 beam_width=settings["b1"],
                 expansion_width=settings["b2"],
                 max_depth=settings["t_max"],
-                temperature=_strategy_temperature(settings),
+                temperature=search.temperature,
                 seed=question_seed,
             )
         elif strategy == "maj":
@@ -271,7 +274,7 @@ def _solve_one(
                 state,
                 backend,
                 k=settings["k"],
-                temperature=_strategy_temperature(settings),
+                temperature=search.temperature,
                 max_depth=settings["t_max"],
                 seed=question_seed,
             )
@@ -301,7 +304,11 @@ def _solve_one(
 def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: str | None) -> dict:
     if dump_trees and settings["strategy"] != "mcts":
         raise ConfigError("--dump-trees requires --strategy mcts")
-    search = _solve_search_config(settings)
+    search = _search_config(
+        settings,
+        EvaluationMode.MODEL_ONLY,
+        MCTS_DECODE_TEMPERATURE if settings["strategy"] == "mcts" else 1.0,
+    )
     backend = _make_backend(settings, default_toy_mode=Mode.ORACLE)
     rows = _load_dataset(dataset_path, require_gold=False)
     dump_dir = Path(dump_trees) if dump_trees else None
@@ -339,15 +346,7 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
 
 def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
-    temperature = settings["temperature"]
-    search = SearchConfig(
-        c_puct=settings["c_puct"],
-        n_simulations=settings["n_simulations"],
-        expansion_width=settings["b2"],
-        max_depth=settings["t_max"],
-        temperature=1.0 if temperature is None else temperature,
-        evaluation=EvaluationMode.TERMINAL_REWARD,
-    )
+    search = _search_config(settings, EvaluationMode.TERMINAL_REWARD, 1.0)
     backend = _make_backend(settings, default_toy_mode=Mode.COLD)
     rows = _load_dataset(dataset_path, require_gold=True)
 
@@ -473,41 +472,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=_SETTINGS["backend"][2], default=None)
-        p.add_argument("--toy-mode", dest="toy_mode", choices=_SETTINGS["toy_mode"][2], default=None)
-        p.add_argument("--backend-url", dest="backend_url", default=None)
-        p.add_argument("--b2", type=int, default=None, help="proposals per expansion")
-        p.add_argument("--n-sims", dest="n_simulations", type=int, default=None)
-        p.add_argument("--c-puct", dest="c_puct", type=float, default=None)
-        p.add_argument("--t-max", dest="t_max", type=int, default=None)
-        p.add_argument("--temperature", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+    def add_settings(p: argparse.ArgumentParser, *left_out: str) -> None:
+        """The dataset, a flag for each setting not ``left_out``, and --config."""
+        p.add_argument("dataset")
+        for key, (_, kind, allowed) in _SETTINGS.items():
+            if key not in left_out:
+                p.add_argument(
+                    "--n-sims" if key == "n_simulations" else "--" + key.replace("_", "-"),
+                    dest=key,
+                    type=kind,
+                    choices=allowed if isinstance(allowed, tuple) else None,
+                    help=_FLAG_HELP.get(key),
+                )
         p.add_argument("--config", default=None, help="JSON file with default settings")
 
     solve = sub.add_parser("solve", help="answer questions from a JSONL dataset")
-    solve.add_argument("dataset")
-    solve.add_argument(
-        "--strategy", choices=STRATEGIES, default=None
-    )
-    solve.add_argument("--b1", type=int, default=None, help="beam width")
-    solve.add_argument("--k", type=int, default=None, help="votes for maj")
+    add_settings(solve, "trees_per_question", "max_pos", "max_neg", "round")
     solve.add_argument("--out", default=None, help="write full report JSON here")
     solve.add_argument(
         "--dump-trees", dest="dump_trees", default=None,
         help="directory for tree snapshots (mcts strategy only)",
     )
-    add_shared(solve)
 
     generate = sub.add_parser("generate", help="build value-model training data")
-    generate.add_argument("dataset")
+    add_settings(generate, "strategy", "b1", "k")
     generate.add_argument("--out", required=True, help="output JSONL path")
-    generate.add_argument("--trees-per-question", dest="trees_per_question", type=int, default=None)
-    generate.add_argument("--max-pos", dest="max_pos", type=int, default=None)
-    generate.add_argument("--max-neg", dest="max_neg", type=int, default=None)
-    generate.add_argument("--round", type=int, default=None)
-    add_shared(generate)
 
     inspect = sub.add_parser("inspect", help="summarize a tree snapshot")
     inspect.add_argument("snapshot")
@@ -536,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"accuracy={'n/a' if accuracy is None else f'{accuracy:.3f}'} "
                 f"avg_time_s={summary['avg_time_s']:.4f} "
                 f"avg_steps={summary['avg_steps']:.2f} "
-                f"avg_candidates={summary['avg_candidates']:.2f}"
+                f"avg_candidates={summary['avg_candidates']:.2f}",
+                flush=True,
             )
             errors = [e for e in result["reports"] if e["error"]]
             for entry in errors[:5]:
@@ -551,11 +541,12 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"wrote {result['records']} records to {result['out']} "
                 f"(pos:neg={'n/a' if ratio is None else f'{ratio:.2f}'}, "
-                f"manifest {result['manifest']})"
+                f"manifest {result['manifest']})",
+                flush=True,
             )
             return EXIT_OK
         if args.command == "inspect":
-            print(run_inspect(args.snapshot, args.b1))
+            print(run_inspect(args.snapshot, args.b1), flush=True)
             return EXIT_OK
         if args.command == "toydata":
             corpus = toy_corpus(args.n, args.seed)
@@ -563,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 for record in records:
                     handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            print(f"wrote {len(records)} problems to {args.out}")
+            print(f"wrote {len(records)} problems to {args.out}", flush=True)
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except (DatasetError, SnapshotError) as exc:
@@ -575,6 +566,11 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except BrokenPipeError:
+        # stdout closed early (say, piped into head): point it at devnull so
+        # that the flush at exit cannot fail again, and exit 1 as Python does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

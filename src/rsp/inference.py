@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_MAX_DEPTH,
     Answer,
     ContractViolation,
     ReasoningState,
@@ -70,12 +71,34 @@ def _finish(
     )
 
 
+def _beam(start: list, width: int, extend, score) -> tuple[list, list[list]]:
+    """Keep the best ``width`` members level by level: finished members
+    carry over, each unfinished one is replaced by ``extend(member)``, and
+    the pool, sorted best ``score`` first (ties in pool order), is cut to
+    ``width``. Stops once every member is finished or the pool is empty;
+    returns the last level kept and every level kept."""
+    kept, history = start, []
+    while any(not member.terminal for member in kept):
+        pool = []
+        for member in kept:
+            if member.terminal:
+                pool.append(member)
+            else:
+                pool.extend(extend(member))
+        if not pool:
+            break
+        pool.sort(key=lambda member: -score(member))
+        kept = pool[:width]
+        history.append(kept)
+    return kept, history
+
+
 def sbs_search(
     question: ReasoningState,
     backend: PolicyValueBackend,
     beam_width: int,
     expansion_width: int,
-    max_depth: int = 8,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     temperature: float = 1.0,
     seed: int = 0,
 ) -> tuple[list[BeamCandidate], list[list[BeamCandidate]]]:
@@ -94,50 +117,37 @@ def sbs_search(
     if is_terminal(question, max_depth):
         raise ContractViolation("cannot decode from a terminal state")
     rng = random.Random(seed)
-    beam = [BeamCandidate(state=question, score=0.0, terminal=False)] * beam_width
     # Each distinct state is valued once per search: the starting copies of
     # the question, and candidates that sample the same step, meet equal
     # extensions.
     scores: dict[ReasoningState, float] = {}
-    history: list[list[BeamCandidate]] = []
-    steps_taken = 0
-    while steps_taken < max_depth and any(not c.terminal for c in beam):
-        pool: list[BeamCandidate] = []
-        for candidate in beam:
-            if candidate.terminal:
-                pool.append(candidate)
-                continue
-            proposals = backend.propose_steps(
-                ProposalRequest(
-                    state=candidate.state,
-                    n_samples=expansion_width,
-                    temperature=temperature,
-                    seed=rng.randrange(2**63),
-                    with_values=True,
-                )
+
+    def extend(candidate: BeamCandidate) -> list[BeamCandidate]:
+        proposals = backend.propose_steps(
+            ProposalRequest(
+                state=candidate.state,
+                n_samples=expansion_width,
+                temperature=temperature,
+                seed=rng.randrange(2**63),
+                with_values=True,
             )
-            for proposal in proposals:
-                extended = apply_step(candidate.state, proposal.step, max_depth)
-                score = scores.get(extended)
+        )
+        extensions = []
+        for proposal in proposals:
+            extended = apply_step(candidate.state, proposal.step, max_depth)
+            score = scores.get(extended)
+            if score is None:
+                score = proposal.value
                 if score is None:
-                    score = proposal.value
-                    if score is None:
-                        score = backend.predict_value(extended).value
-                    scores[extended] = score
-                pool.append(
-                    BeamCandidate(
-                        state=extended,
-                        score=score,
-                        terminal=is_terminal(extended, max_depth),
-                    )
-                )
-        if not pool:
-            break  # every live candidate dead-ended and nothing had finished
-        pool.sort(key=lambda c: -c.score)  # stable: ties keep insertion order
-        beam = pool[:beam_width]
-        history.append(beam)
-        steps_taken += 1
-    return beam, history
+                    score = backend.predict_value(extended).value
+                scores[extended] = score
+            extensions.append(
+                BeamCandidate(extended, score, is_terminal(extended, max_depth))
+            )
+        return extensions
+
+    start = [BeamCandidate(state=question, score=0.0, terminal=False)] * beam_width
+    return _beam(start, beam_width, extend, lambda c: c.score)
 
 
 def sbs_decode(
@@ -145,7 +155,7 @@ def sbs_decode(
     backend: PolicyValueBackend,
     beam_width: int = 1,
     expansion_width: int = 5,
-    max_depth: int = 8,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     temperature: float = 1.0,
     seed: int = 0,
 ) -> InferenceReport:
@@ -161,7 +171,7 @@ def sbs_decode(
 def greedy_decode(
     question: ReasoningState,
     backend: PolicyValueBackend,
-    max_depth: int = 8,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> InferenceReport:
     """Follow the backend's single most likely step until termination.
 
@@ -190,24 +200,10 @@ def q_sweep(
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
-    candidates = [root]
-    history: list[list[SearchNode]] = []
-    while any(not n.terminal for n in candidates):
-        pool: list[SearchNode] = []
-        for node in candidates:
-            if node.terminal:
-                pool.append(node)
-            else:
-                pool.extend(node.children)
-        if not pool:
-            # Every unfinished candidate is an unexpanded leaf: the tree has
-            # no deeper information, so settle for the current best.
-            break
-        pool.sort(key=lambda n: -n.stats.q(q_init))
-        candidates = pool[:beam_width]
-        history.append(candidates)
-    best = max(candidates, key=lambda n: n.stats.q(q_init))
-    return best, history
+    kept, history = _beam(
+        [root], beam_width, lambda n: n.children, lambda n: n.stats.q(q_init)
+    )
+    return kept[0], history
 
 
 def inference_search_config(**overrides) -> SearchConfig:
@@ -256,7 +252,7 @@ def majority_vote(
     backend: PolicyValueBackend,
     k: int = 5,
     temperature: float = 1.0,
-    max_depth: int = 8,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     seed: int = 0,
 ) -> InferenceReport:
     """Sample k full paths and return the most common answer.

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .core import (
+    DEFAULT_MAX_DEPTH,
     Answer,
     ContractViolation,
     EngineError,
@@ -55,7 +56,7 @@ class SearchConfig:
     c_puct: float = 1.25
     n_simulations: int = 40
     expansion_width: int = 5
-    max_depth: int = 8
+    max_depth: int = DEFAULT_MAX_DEPTH
     temperature: float = 1.0
     evaluation: EvaluationMode = EvaluationMode.TERMINAL_REWARD
     q_init: float = 0.0
@@ -186,15 +187,12 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
     for proposal in proposals:
         step = proposal.step
         child_state = apply_step(leaf.state, step, cfg.max_depth)
-        terminal = False
+        terminal = is_terminal(child_state, cfg.max_depth)
         reward: Reward | None = None
         if step.kind is StepKind.ANSWER:
-            terminal = True
             if tree.gold_answer is not None:
-                correct = is_correct(step.answer, tree.gold_answer)
-                reward = Reward(1.0 if correct else -1.0)
-        elif child_state.depth >= cfg.max_depth:
-            terminal = True
+                reward = Reward(1.0 if is_correct(step.answer, tree.gold_answer) else -1.0)
+        elif terminal:
             reward = Reward(-1.0)
         child = SearchNode(
             state=child_state,
@@ -330,7 +328,7 @@ def mc_rollout_estimate(
     backend: PolicyValueBackend,
     n_rollouts: int,
     seed: int = 0,
-    max_depth: int = 8,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> float:
     """Average terminal reward over independent base-policy rollouts.
 

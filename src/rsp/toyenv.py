@@ -360,7 +360,7 @@ def generate_problem(problem_seed: int) -> OpChainProblem:
 
 def problem_from_id(problem_id: str) -> OpChainProblem:
     """Rebuild a generated problem from its self-describing id."""
-    m = re.fullmatch(r"toy-(\d+)", problem_id)
+    m = isinstance(problem_id, str) and re.fullmatch(r"toy-(\d+)", problem_id)
     if not m:
         raise ContractViolation(f"not a generated toy problem id: {problem_id!r}")
     return generate_problem(int(m.group(1)))
@@ -369,6 +369,8 @@ def problem_from_id(problem_id: str) -> OpChainProblem:
 def toy_corpus(n: int, seed: int) -> list[OpChainProblem]:
     """Deterministic corpus of ``n`` problems; always contains at least one
     problem whose highest-probability (greedy) path is incorrect."""
+    if n < 1:
+        raise ContractViolation(f"a toy corpus needs at least one problem, not {n}")
     rng = random.Random(seed)
     problems: list[OpChainProblem] = []
     ids: set[str] = set()

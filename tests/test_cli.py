@@ -1,11 +1,14 @@
 """End-to-end command-line tests against the toy backend."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, MAX_WIDTH, main
+from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, MAX_WIDTH, build_parser, main
 from rsp.datagen import manifest_path_for
 from rsp.policy import BACKEND_URL_ENV, serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
@@ -128,6 +131,54 @@ def test_dataset_rows_need_id_and_question(tmp_path, capsys):
     dataset = write_dataset(tmp_path, [{"id": "a"}])
     assert main(["solve", dataset]) == EXIT_DATASET
     assert "'id' and 'question'" in capsys.readouterr().err
+
+
+_TOY_ROW = {"id": "toy-0000000042", "question": "q", "gold_answer": "17"}
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("solve", "gold_answer", 27, "gold_answer must be a string or null"),
+        ("generate", "gold_answer", 27, "gold_answer must be a string or null"),
+        ("solve", "gold_answer", ["17"], "gold_answer must be a string or null"),
+        ("solve", "id", [1], "id must be a string or an integer"),
+        ("solve", "id", True, "id must be a string or an integer"),
+        ("generate", "id", 5.0, "id must be a string or an integer"),
+        ("solve", "question", 5, "question must be a string"),
+        ("solve", "question", None, "question must be a string"),
+    ],
+)
+def test_dataset_fields_of_the_wrong_json_type_are_input_errors(
+    tmp_path, capsys, command, field, value, message
+):
+    rows = corpus_to_records(toy_corpus(1, 0)) + [{**_TOY_ROW, field: value}]
+    dataset = write_dataset(tmp_path, rows)
+    out = ["--out", str(tmp_path / "out.jsonl")] if command == "generate" else []
+    assert main([command, dataset, *out]) == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{dataset}:2: {message}" in captured.err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_an_integer_id_the_toy_backend_cannot_rebuild_is_a_failed_question(tmp_path, capsys):
+    rows = [{**_TOY_ROW, "id": 5}] + corpus_to_records(toy_corpus(1, 0))
+    out = tmp_path / "report.json"
+    assert main(["solve", write_dataset(tmp_path, rows), "--out", str(out)]) == EXIT_OK
+    first, second = json.loads(out.read_text())["reports"]
+    assert first["id"] == 5
+    assert first["error"] == "not a generated toy problem id: 5"
+    assert first["correct"] is False
+    assert second["error"] is None and second["correct"] is True
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_toydata_refuses_an_empty_corpus(tmp_path, capsys, n):
+    out = tmp_path / "toy.jsonl"
+    assert main(["toydata", "--n", n, "--out", str(out)]) == EXIT_CONFIG
+    assert "at least one problem" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
@@ -599,3 +650,82 @@ def test_inspect_rejects_missing_and_malformed_snapshots(tmp_path, capsys):
     wrong.write_text('{"schema": "rsp-tree/9", "nodes": []}', encoding="utf-8")
     assert main(["inspect", str(wrong)]) == EXIT_DATASET
     assert "rsp-tree/9" in capsys.readouterr().err
+
+
+def _stdout_closed_at_once(tmp_path, *args):
+    """Run the CLI in a child whose stdout pipe is closed before it writes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rsp.cli", *args],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+    finally:
+        child.stderr.close()
+    return child.wait(timeout=120), err
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, capsys):
+    code, err = _stdout_closed_at_once(tmp_path, "toydata", "--n", "3", "--out", "x.jsonl")
+    assert (code, err) == (1, b"")
+    dataset = toy_dataset(tmp_path, n=1, seed=9)
+    dump_dir = tmp_path / "trees"
+    assert main(["solve", dataset, "--strategy", "mcts", "--n-sims", "2", "--dump-trees", str(dump_dir)]) == EXIT_OK
+    (snapshot,) = dump_dir.glob("*.tree.json")
+    code, err = _stdout_closed_at_once(tmp_path, "inspect", str(snapshot), "--b1", "2")
+    assert (code, err) == (1, b"")
+
+
+# The setting flags of each command as (option strings, dest, type, choices);
+# argparse passes a string through as is when no type is given.
+_SOLVE_FLAGS = {
+    (("--strategy",), "strategy", str, ("greedy", "sbs", "mcts", "maj")),
+    (("--b1",), "b1", int, None),
+    (("--k",), "k", int, None),
+    (("--out",), "out", str, None),
+    (("--dump-trees",), "dump_trees", str, None),
+}
+_GENERATE_FLAGS = {
+    (("--out",), "out", str, None),
+    (("--trees-per-question",), "trees_per_question", int, None),
+    (("--max-pos",), "max_pos", int, None),
+    (("--max-neg",), "max_neg", int, None),
+    (("--round",), "round", int, None),
+}
+_SHARED_FLAGS = {
+    ((), "dataset", str, None),
+    (("--backend",), "backend", str, ("toy", "remote")),
+    (("--toy-mode",), "toy_mode", str, ("cold", "oracle")),
+    (("--backend-url",), "backend_url", str, None),
+    (("--b2",), "b2", int, None),
+    (("--n-sims",), "n_simulations", int, None),
+    (("--c-puct",), "c_puct", float, None),
+    (("--t-max",), "t_max", int, None),
+    (("--temperature",), "temperature", float, None),
+    (("--seed",), "seed", int, None),
+    (("--jobs",), "jobs", int, None),
+    (("--config",), "config", str, None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("solve", _SOLVE_FLAGS | _SHARED_FLAGS), ("generate", _GENERATE_FLAGS | _SHARED_FLAGS)],
+)
+def test_each_command_takes_exactly_its_flags(command, expected):
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    flags = {
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.type or str,
+            None if action.choices is None else tuple(action.choices),
+        )
+        for action in commands.choices[command]._actions
+        if action.dest != "help"
+    }
+    assert flags == expected
