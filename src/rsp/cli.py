@@ -23,6 +23,7 @@ from .core import (
     ReasoningState,
     derive_seed,
     is_correct,
+    json_field,
 )
 from .datagen import (
     build_manifest,
@@ -71,10 +72,10 @@ STRATEGIES = ("greedy", "sbs", "mcts", "maj")
 # above any useful width, and small enough that a beam that wide fits in memory.
 MAX_WIDTH = 1000
 
-# Every setting: its built-in default, the type of the JSON value a config
-# file gives it (a JSON boolean is none of these; null means the default),
-# and its allowed values: a tuple of choices, the least allowed integer, a
-# range of integers, or None (SearchConfig checks the search settings).
+# Every setting: its built-in default, the JSON kind a config file gives it
+# (read by core.json_field; null means the default), and its allowed values:
+# a tuple of choices, the least allowed integer, a range of integers, or None
+# (SearchConfig checks the search settings).
 _SETTINGS = {
     "strategy": ("sbs", str, STRATEGIES),
     "backend": ("toy", str, ("toy", "remote")),
@@ -95,34 +96,25 @@ _SETTINGS = {
     "round": (1, int, None),
 }
 
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
-
 _FLAG_HELP = {"b1": "beam width", "b2": "proposals per expansion", "k": "votes for maj"}
 
 
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a flat JSON object")
-    settings = {}
-    for key, value in raw.items():
+    try:
+        given = {key: json_field(raw, key, (kind, None), None) for key, (_, kind, _) in _SETTINGS.items()}
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: {exc}")
+    for key in raw:
         if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
-        if value is None:
-            continue
-        kind = _SETTINGS[key][1]
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise ConfigError(f"config key {key!r} takes {_JSON_KINDS[kind]} or null, not {value!r}")
-        try:
-            settings[key] = kind(value)
-        except OverflowError:  # an integer too large for a float
-            raise ConfigError(f"config key {key!r} has invalid value {value!r}")
-    return settings
+    # null, like a missing key, means the default
+    return {key: _SETTINGS[key][1](value) for key, value in given.items() if value is not None}
 
 
 def _check(key: str, value) -> None:
@@ -161,44 +153,52 @@ def _make_backend(settings: dict, default_toy_mode: Mode):
     return RemoteBackend(url)
 
 
+# The JSON kinds of a dataset record's fields; other fields are kept unread.
+_RECORD_FIELDS = {"id": (str, int), "question": (str,), "gold_answer": (str, None)}
+
+
 def _load_dataset(path: str, require_gold: bool) -> list[dict]:
     rows: list[dict] = []
     seen: set[str] = set()
     try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
         raise DatasetError(f"cannot read dataset {path}: {exc}")
-    with handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}")
-            if not isinstance(row, dict) or "id" not in row or "question" not in row:
-                raise DatasetError(
-                    f"{path}:{lineno}: each record needs 'id' and 'question'"
-                )
-            if type(row["id"]) not in (str, int):  # a JSON boolean is neither
-                raise DatasetError(f"{path}:{lineno}: id must be a string or an integer, not {row['id']!r}")
-            if not isinstance(row["question"], str):
-                raise DatasetError(f"{path}:{lineno}: question must be a string, not {row['question']!r}")
-            if not isinstance(row.get("gold_answer"), (str, type(None))):
-                raise DatasetError(f"{path}:{lineno}: gold_answer must be a string or null, not {row['gold_answer']!r}")
-            if row["id"] in seen:
-                raise DatasetError(f"{path}:{lineno}: duplicate id {row['id']!r}")
-            seen.add(row["id"])
-            if require_gold and not row.get("gold_answer"):
-                raise DatasetError(
-                    f"{path}:{lineno}: record {row['id']!r} lacks a gold_answer, "
-                    f"which data generation requires"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
+            raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}")
+        try:
+            for key, kinds in _RECORD_FIELDS.items():
+                json_field(row, key, kinds, None)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
+        if "id" not in row or "question" not in row:
+            raise DatasetError(f"{path}:{lineno}: each record needs 'id' and 'question'")
+        if row["id"] in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate id {row['id']!r}")
+        seen.add(row["id"])
+        if require_gold and not row.get("gold_answer"):
+            raise DatasetError(
+                f"{path}:{lineno}: record {row['id']!r} lacks a gold_answer, "
+                f"which data generation requires"
+            )
+        rows.append(row)
     # an empty dataset is legal: solve reports zero questions, generate
     # writes an empty training file
     return rows
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output file that cannot be written before any work is done."""
+    if Path(out).is_dir():
+        raise ConfigError(f"output {out} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ConfigError(f"output {out}: directory {Path(out).parent} does not exist")
 
 
 def _search_config(settings: dict, evaluation: EvaluationMode, temperature: float) -> SearchConfig:
@@ -304,6 +304,10 @@ def _solve_one(
 def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: str | None) -> dict:
     if dump_trees and settings["strategy"] != "mcts":
         raise ConfigError("--dump-trees requires --strategy mcts")
+    if dump_trees and Path(dump_trees).exists() and not Path(dump_trees).is_dir():
+        raise ConfigError(f"--dump-trees {dump_trees} exists and is not a directory")
+    if out:
+        _check_out(out)
     search = _search_config(
         settings,
         EvaluationMode.MODEL_ONLY,
@@ -346,9 +350,16 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
 
 
 def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
+    _check_out(out)
     search = _search_config(settings, EvaluationMode.TERMINAL_REWARD, 1.0)
     backend = _make_backend(settings, default_toy_mode=Mode.COLD)
     rows = _load_dataset(dataset_path, require_gold=True)
+    if isinstance(backend, ToyBackend):  # the toy rebuilds each problem from its id
+        for row in rows:
+            try:
+                backend.problem_for(row["id"])
+            except ContractViolation as exc:
+                raise DatasetError(f"{dataset_path}: {exc}")
 
     def work(item: tuple[int, dict]) -> list:
         index, row = item
@@ -417,7 +428,7 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
         doc = json.loads(Path(snapshot_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DatasetError(f"cannot read snapshot {snapshot_path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
         raise SnapshotError(f"snapshot {snapshot_path} is not valid JSON: {exc}")
     tree = snapshot_to_tree(doc)
 
@@ -549,6 +560,7 @@ def main(argv: list[str] | None = None) -> int:
             print(run_inspect(args.snapshot, args.b1), flush=True)
             return EXIT_OK
         if args.command == "toydata":
+            _check_out(args.out)
             corpus = toy_corpus(args.n, args.seed)
             records = corpus_to_records(corpus)
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -571,6 +583,9 @@ def main(argv: list[str] | None = None) -> int:
         # that the flush at exit cannot fail again, and exit 1 as Python does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output that could not be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

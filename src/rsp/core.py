@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -334,3 +335,30 @@ def derive_seed(*parts: int) -> int:
             acc ^= byte
             acc = (acc * 0x100000001B3) % (1 << 64)
     return acc
+
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "a boolean", list: "a list", dict: "an object", None: "null"}
+
+
+def json_field(record, key: str, kinds: tuple, default=...):
+    """``record[key]`` if it is JSON of one of ``kinds``, or ``default`` when
+    the key is missing (the default, ``...``, makes the key required). The
+    kinds: ``int`` is an integer and a boolean is not one, ``float`` a finite
+    number, integers included, ``None`` null, and ``str``, ``bool``,
+    ``list`` and ``dict`` exactly those. Anything else, a ``record`` that is
+    not an object included, is a ValueError naming the key, kinds and value."""
+    if type(record) is not dict:
+        raise ValueError(f"not a JSON object: {record!r:.200}")
+    if key not in record:
+        if default is ...:
+            raise ValueError(f"{key} is missing")
+        return default
+    value = record[key]
+    for kind in kinds:
+        if kind is float:  # abs(x) <= max is false for NaN and inf, and exact for a huge integer
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return value
+        elif value is None if kind is None else type(value) is kind:
+            return value
+    raise ValueError(f"{key} must be {' or '.join(_JSON_KINDS[k] for k in kinds)}, not {value!r:.200}")

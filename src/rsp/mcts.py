@@ -28,6 +28,7 @@ from .core import (
     as_answer,
     is_correct,
     is_terminal,
+    json_field,
     log_prior,
     normalize_answer,
 )
@@ -414,41 +415,54 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
     }
 
 
-def snapshot_to_tree(doc: dict) -> SearchTree:
+# The JSON kinds of a snapshot's fields, as tree_to_snapshot writes them, and
+# the defaults of those that may be left out.
+_DOC_FIELDS = {"question_id": (str, int), "question_text": (str,), "gold_answer": (str, None), "seed": (int,),
+               "simulations_run": (int,), "total_backups": (int,), "config": (dict,), "nodes": (list,)}
+_CONFIG_FIELDS = {"c_puct": (float,), "n_simulations": (int,), "expansion_width": (int,), "max_depth": (int,),
+                  "temperature": (float,), "evaluation": (str,), "q_init": (float,)}
+_NODE_FIELDS = {"id": (int,), "parent_id": (int, None), "step_kind": (str, None), "step_text": (str, None),
+                "prior": (float,), "visits": (int,), "total_value": (float,), "q": (float, None),
+                "model_value": (float, None), "terminal": (bool,), "reward": (float, None), "depth": (int,)}
+_SNAPSHOT_DEFAULTS = {"gold_answer": None, "seed": 0, "simulations_run": 0, "total_backups": 0,
+                      "q_init": 0.0, "step_kind": None, "model_value": None}
+
+
+def _read_fields(record, table: dict) -> dict:
+    return {key: json_field(record, key, kinds, _SNAPSHOT_DEFAULTS.get(key, ...)) for key, kinds in table.items()}
+
+
+def snapshot_to_tree(doc) -> SearchTree:
     """Rebuild a SearchTree from a snapshot document.
 
     Generation metadata that the snapshot does not carry (code outputs,
     error flags) is not restored; ranking state (visits, totals, rewards,
-    terminal flags, child order) is. A second root, a repeated node id, a
-    parent that is not an earlier node, a non-root node without a step,
-    negative visits, ``|total_value| > visits``, a depth other than the
-    parent's plus one or a ``q`` other than ``total_value / visits`` (null
-    at zero visits) is a SnapshotError, and so is any EngineError raised
-    while rebuilding (a config the search refuses, a step text that is not
-    a step).
+    terminal flags, child order) is. A document that is not a JSON object,
+    a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a second
+    root, a repeated node id, a parent that is not an earlier node, a
+    non-root node without a step, negative visits, ``|total_value| >
+    visits``, a depth other than the parent's plus one or a ``q`` other
+    than ``total_value / visits`` (null at zero visits) is a SnapshotError,
+    and so is any EngineError raised while rebuilding (a config the search
+    refuses, a step text that is not a step).
     """
-    schema = doc.get("schema")
-    if schema != SNAPSHOT_SCHEMA:
-        raise SnapshotError(
-            f"unsupported snapshot schema {schema!r}; this build reads {SNAPSHOT_SCHEMA!r}"
-        )
     try:
-        config_doc = doc["config"]
-        config = SearchConfig(
-            c_puct=config_doc["c_puct"],
-            n_simulations=config_doc["n_simulations"],
-            expansion_width=config_doc["expansion_width"],
-            max_depth=config_doc["max_depth"],
-            temperature=config_doc["temperature"],
-            evaluation=EvaluationMode(config_doc["evaluation"]),
-            q_init=config_doc.get("q_init", 0.0),
-        )
+        schema = json_field(doc, "schema", (str,), None)
+        if schema != SNAPSHOT_SCHEMA:
+            raise SnapshotError(
+                f"unsupported snapshot schema {schema!r}; this build reads {SNAPSHOT_SCHEMA!r}"
+            )
+        fields = _read_fields(doc, _DOC_FIELDS)
+        config_fields = _read_fields(fields["config"], _CONFIG_FIELDS)
+        config_fields["evaluation"] = EvaluationMode(config_fields["evaluation"])
+        config = SearchConfig(**config_fields)
         question = ReasoningState(
-            question_id=doc["question_id"], question_text=doc["question_text"]
+            question_id=fields["question_id"], question_text=fields["question_text"]
         )
         by_id: dict[int, SearchNode] = {}
         root: SearchNode | None = None
-        for entry in doc["nodes"]:
+        for entry in fields["nodes"]:
+            entry = _read_fields(entry, _NODE_FIELDS)
             node_id, parent_id = entry["id"], entry["parent_id"]
             if node_id in by_id:
                 raise SnapshotError(f"node id {node_id} appears twice")
@@ -502,7 +516,7 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
                     prior=entry["prior"],
                     visits=visits,
                     total_value=total_value,
-                    model_value=entry.get("model_value"),
+                    model_value=entry["model_value"],
                 ),
                 step=step,
                 depth=entry["depth"],
@@ -518,15 +532,15 @@ def snapshot_to_tree(doc: dict) -> SearchTree:
             raise SnapshotError("snapshot has no root node")
     except SnapshotError:
         raise
-    except (KeyError, TypeError, ValueError, EngineError) as exc:
+    except (ValueError, OverflowError, EngineError) as exc:  # OverflowError: visits past float range
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
-    gold = doc.get("gold_answer")
+    gold = fields["gold_answer"]
     return SearchTree(
         root=root,
         question=question,
         config=config,
-        seed=doc.get("seed", 0),
+        seed=fields["seed"],
         gold_answer=normalize_answer(gold) if gold is not None else None,
-        simulations_run=doc.get("simulations_run", 0),
-        total_backups=doc.get("total_backups", 0),
+        simulations_run=fields["simulations_run"],
+        total_backups=fields["total_backups"],
     )

@@ -13,7 +13,6 @@ import math
 import re
 import socket
 import socketserver
-import sys
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -27,6 +26,7 @@ from .core import (
     ReasoningState,
     Step,
     StepKind,
+    json_field,
 )
 
 if TYPE_CHECKING:
@@ -135,40 +135,32 @@ def dedupe_proposals(proposals: list[Proposal]) -> list[Proposal]:
     return unique
 
 
-def _step_from_wire(payload) -> Step:
-    """A proposal as the client reads it: a JSON object whose
-    ``mean_log_prob`` is a finite number, whose ``contains_code`` and
-    ``code_errored`` are booleans when present and whose ``code_output`` is
-    a string or null. Anything else is a TransportError."""
-    if not isinstance(payload, dict):
-        raise TransportError(f"proposal is not a JSON object: {payload!r}")
+def _from_reply(what: str, record, key: str, kinds: tuple, default=...):
+    """``json_field`` for a server's reply: a misfit is a TransportError."""
     try:
-        kind = StepKind(payload.get("kind"))
-    except ValueError:
-        raise TransportError(f"unknown proposal kind: {payload.get('kind')!r}") from None
-    text = payload.get("text")
-    if not isinstance(text, str):
-        raise TransportError("proposal text missing or not a string")
-    mean_log_prob = payload.get("mean_log_prob")
-    flags = (payload.get("contains_code", False), payload.get("code_errored", False))
-    code_output = payload.get("code_output")
-    if (
-        type(mean_log_prob) not in (int, float)
-        or not abs(mean_log_prob) <= sys.float_info.max  # NaN, inf, a huge integer
-        or any(type(flag) is not bool for flag in flags)
-        or not isinstance(code_output, (str, type(None)))
-    ):
-        raise TransportError(f"malformed proposal fields: {payload!r:.300}")
+        return json_field(record, key, kinds, default)
+    except ValueError as exc:
+        raise TransportError(f"{what}: {exc}") from None
+
+
+def _step_from_wire(payload) -> Step:
+    """A proposal as the client reads it: a JSON object whose ``kind`` is a
+    step kind, ``text`` a string, ``mean_log_prob`` a finite number,
+    ``contains_code`` and ``code_errored`` booleans when present and
+    ``code_output`` a string or null. Anything else is a TransportError."""
     # The answer is parsed from the text; a v1 payload's "answer" field is
     # not read, so it cannot disagree with the text.
-    return Step(
-        kind=kind,
-        text=text,
-        mean_log_prob=float(mean_log_prob),
-        contains_code=flags[0],
-        code_errored=flags[1],
-        code_output=code_output,
-    )
+    try:
+        return Step(
+            kind=StepKind(json_field(payload, "kind", (str,))),
+            text=json_field(payload, "text", (str,)),
+            mean_log_prob=float(json_field(payload, "mean_log_prob", (float,))),
+            contains_code=json_field(payload, "contains_code", (bool,), False),
+            code_errored=json_field(payload, "code_errored", (bool,), False),
+            code_output=json_field(payload, "code_output", (str, None), None),
+        )
+    except ValueError as exc:  # a field json_field refuses, or an unknown kind
+        raise TransportError(f"malformed proposal: {exc}") from None
 
 
 def _step_to_wire(step: Step) -> dict:
@@ -332,12 +324,8 @@ class RemoteBackend(PolicyValueBackend):
                     raise TransportError(
                         f"{path} returned {response.status_code}: {response.text[:200]}"
                     )
-                payload = response.json()
-                if not isinstance(payload, dict):
-                    raise TransportError(
-                        f"{path} reply is not a JSON object: {response.text[:200]}"
-                    )
-                return payload
+                # read as the one field of a record, so the reply must be an object
+                return _from_reply(f"{path} reply", {"reply": response.json()}, "reply", (dict,))
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
         raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error
@@ -360,20 +348,17 @@ class RemoteBackend(PolicyValueBackend):
             if request.with_values:
                 body["with_values"] = True
             payload = self._post("/propose", body)
-            raw = payload.get("proposals")
-            if not isinstance(raw, list):
-                raise TransportError("backend response lacks a proposals list")
+            raw = _from_reply("backend response lacks a proposals list", payload, "proposals", (list,))
             if not raw:
                 break  # dead end: the server has no legal continuation
             attempts += len(raw)
-            values = [None] * len(raw)
-            if request.with_values and "values" in payload:
-                attached = payload["values"]
-                if not isinstance(attached, list) or len(attached) != len(raw):
-                    raise TransportError(
-                        "backend values do not align with its proposals"
-                    )
-                values = [_value_from_wire(v).value for v in attached]
+            attached = None
+            if request.with_values:
+                misaligned = "backend values do not align with its proposals"
+                attached = _from_reply(misaligned, payload, "values", (list,), None)
+                if attached is not None and len(attached) != len(raw):
+                    raise TransportError(misaligned)
+            values = [None] * len(raw) if attached is None else [_value_from_wire(v).value for v in attached]
             proposals = dedupe_proposals(
                 proposals
                 + [
@@ -392,29 +377,16 @@ class RemoteBackend(PolicyValueBackend):
 
 
 def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRequest:
-    """The /propose fields, taken only as the JSON types the client sends:
+    """The /propose fields, taken only as the JSON kinds the client sends:
     ``n_samples`` an integer, ``temperature`` a finite number, ``seed`` an
-    integer or null and ``with_values``, when present, a boolean. JSON
-    booleans are not numbers here. Anything else is a ValueError."""
-    n_samples = body["n_samples"]
-    temperature = body["temperature"]
-    seed = body.get("seed")
-    with_values = body.get("with_values", False)
-    if type(n_samples) is not int:
-        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
-    # abs(x) <= max is false for NaN and inf, and exact for a huge integer
-    if type(temperature) not in (int, float) or not abs(temperature) <= sys.float_info.max:
-        raise ValueError(f"temperature must be a finite number, not {temperature!r}")
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"seed must be an integer or null, not {seed!r}")
-    if type(with_values) is not bool:
-        raise ValueError(f"with_values must be a boolean, not {with_values!r}")
+    integer or null and ``with_values``, when present, a boolean. Anything
+    else is a ValueError."""
     return ProposalRequest(
         state=state,
-        n_samples=n_samples,
-        temperature=float(temperature),
-        seed=seed,
-        with_values=with_values,
+        n_samples=json_field(body, "n_samples", (int,)),
+        temperature=float(json_field(body, "temperature", (float,))),
+        seed=json_field(body, "seed", (int, None), None),
+        with_values=json_field(body, "with_values", (bool,), False),
     )
 
 
@@ -542,7 +514,7 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         # client does not retry it. Only unexpected failures are 500s.
         try:
             body = json.loads(raw)
-            state = type(self).state_decoder(body["state"])
+            state = type(self).state_decoder(json_field(body, "state", (str,)))
             if self.path == "/propose":
                 request = _proposal_request_from_wire(state, body)
         except (ValueError, KeyError, TypeError, EngineError) as exc:

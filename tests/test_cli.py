@@ -181,6 +181,76 @@ def test_toydata_refuses_an_empty_corpus(tmp_path, capsys, n):
     assert not out.exists()
 
 
+def test_generate_calls_an_id_the_toy_cannot_rebuild_an_input_error(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("rsp.cli.build_tree", lambda *args: built.append(args))
+    rows = corpus_to_records(toy_corpus(1, 0)) + [{**_TOY_ROW, "id": "q1"}]
+    out = tmp_path / "out.jsonl"
+    assert main(["generate", write_dataset(tmp_path, rows), "--out", str(out)]) == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and "'q1'" in captured.err
+    assert built == []  # refused before any tree is built
+    assert not out.exists()
+
+
+# Output paths that cannot be written, as a command's extra arguments, run in
+# a directory that holds a regular file "file" and a directory "dir".
+_UNWRITABLE_OUTPUTS = [
+    ("solve", ["--out", "nodir/r.json"]),
+    ("solve", ["--out", "dir"]),
+    ("generate", ["--out", "nodir/x.jsonl"]),
+    ("generate", ["--out", "dir"]),
+    ("toydata", ["--out", "nodir/x.jsonl"]),
+    ("toydata", ["--out", "dir"]),
+    ("solve", ["--strategy", "mcts", "--dump-trees", "file"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags", _UNWRITABLE_OUTPUTS, ids=[f"{c} {' '.join(f)}" for c, f in _UNWRITABLE_OUTPUTS]
+)
+def test_an_unwritable_output_exits_2_before_the_dataset_loads(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    Path("file").write_text("keep", encoding="utf-8")
+    missing = [] if command == "toydata" else ["missing.jsonl"]  # exit 3 if it were read
+    assert main([command, *missing, *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and flags[-1] in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any(Path("dir").iterdir())
+    assert Path("file").read_text(encoding="utf-8") == "keep"
+
+
+def test_an_output_that_fails_while_written_is_one_line_without_a_traceback(tmp_path, capsys):
+    (tmp_path / "file").write_text("keep", encoding="utf-8")
+    dataset = toy_dataset(tmp_path, n=1)
+    dump_dir = str(tmp_path / "file" / "trees")  # under a regular file
+    assert main(["solve", dataset, "--strategy", "mcts", "--dump-trees", dump_dir]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert dump_dir in err
+
+
+@pytest.mark.parametrize(
+    "command, code", [("dataset", EXIT_DATASET), ("config", EXIT_CONFIG), ("snapshot", EXIT_DATASET)]
+)
+def test_an_input_file_that_is_not_utf8_is_refused_without_a_traceback(tmp_path, capsys, command, code):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"id": "a", "question": "\xff"}\n')
+    argv = {
+        "dataset": ["solve", str(bad)],
+        "config": ["solve", toy_dataset(tmp_path, n=1), "--config", str(bad)],
+        "snapshot": ["inspect", str(bad)],
+    }[command]
+    assert main(argv) == code
+    assert "utf-8" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     dataset = toy_dataset(tmp_path, n=1)
     config = tmp_path / "cfg.json"
@@ -617,6 +687,49 @@ def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, d
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error: malformed snapshot" in captured.err
+
+
+# A field of a dumped snapshot given a value of another JSON kind: (where,
+# field, value), where is the document, its config or its last (leaf) node.
+_MISTYPED_SNAPSHOT_FIELDS = [
+    ("doc", "gold_answer", 5),
+    ("doc", "question_text", 5),
+    ("doc", "seed", "x"),
+    ("doc", "simulations_run", "2"),
+    ("config", "n_simulations", 2.5),
+    ("leaf", "terminal", "no"),
+    ("leaf", "prior", True),
+    ("leaf", "visits", 1.0),
+    ("leaf", "reward", True),
+    ("leaf", "model_value", "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [(None, None, [1, 2])] + _MISTYPED_SNAPSHOT_FIELDS,
+    ids=["list"] + [f"{where}-{field}={value!r}" for where, field, value in _MISTYPED_SNAPSHOT_FIELDS],
+)
+def test_inspect_refuses_a_snapshot_field_of_the_wrong_json_kind(tmp_path, capsys, where, field, value):
+    dataset = toy_dataset(tmp_path, n=1, seed=9)
+    dump_dir = tmp_path / "trees"
+    assert main(
+        ["solve", dataset, "--strategy", "mcts", "--n-sims", "2", "--dump-trees", str(dump_dir)]
+    ) == EXIT_OK
+    (snapshot,) = dump_dir.glob("*.tree.json")
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    assert doc["nodes"][-1]["visits"] == 1  # so that 1.0 differs only in its kind
+    if where is None:
+        doc = value
+    else:
+        {"doc": doc, "config": doc["config"], "leaf": doc["nodes"][-1]}[where][field] = value
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", str(snapshot)]) == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: malformed snapshot" in captured.err
+    assert "not a JSON object" in captured.err if where is None else field in captured.err
 
 
 def test_inspect_rejects_a_beam_width_below_one(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from rsp.core import (
     derive_seed,
     is_correct,
     is_terminal,
+    json_field,
     log_prior,
     normalize_answer,
     render_answer_step,
@@ -253,3 +255,50 @@ def test_derive_seed_is_deterministic_and_order_sensitive():
     assert derive_seed(1, 2) != derive_seed(2, 1)
     assert derive_seed(0) != derive_seed(1)
     assert 0 <= derive_seed(123456789, 42) < 2**64
+
+
+_JSON_VALUES = [0, 1, -3, 2.5, 1e308, 10**400, True, False, None, "1", [], {}, math.nan, math.inf]
+
+
+@pytest.mark.parametrize(
+    "kind, accepted",
+    [
+        (int, [0, 1, -3, 10**400]),
+        (float, [0, 1, -3, 2.5, 1e308]),
+        (str, ["1"]),
+        (bool, [True, False]),
+        (list, [[]]),
+        (dict, [{}]),
+        (None, [None]),
+    ],
+    ids=["int", "float", "str", "bool", "list", "dict", "None"],
+)
+def test_json_field_accepts_exactly_its_kind(kind, accepted):
+    for value in _JSON_VALUES:
+        record = {"x": value}
+        if any(type(value) is type(a) and value == a for a in accepted):
+            assert json_field(record, "x", (kind,)) is value
+        else:
+            with pytest.raises(ValueError, match=r"^x must be .*, not "):
+                json_field(record, "x", (kind,))
+
+
+def test_json_field_names_every_kind_it_takes():
+    with pytest.raises(ValueError) as err:
+        json_field({"id": 2.5}, "id", (str, int, None))
+    assert str(err.value) == "id must be a string or an integer or null, not 2.5"
+
+
+def test_json_field_default_stands_for_a_missing_key_only():
+    assert json_field({}, "seed", (int,), 0) == 0
+    assert json_field({}, "seed", (int,), None) is None
+    with pytest.raises(ValueError, match="^seed is missing$"):
+        json_field({}, "seed", (int,))
+    with pytest.raises(ValueError, match="seed must be an integer, not None"):
+        json_field({"seed": None}, "seed", (int,), 0)
+
+
+@pytest.mark.parametrize("record", [[1, 2], "x", 5, None], ids=repr)
+def test_json_field_refuses_a_record_that_is_not_an_object(record):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        json_field(record, "x", (int,), 0)

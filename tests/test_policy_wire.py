@@ -466,6 +466,17 @@ def test_mistyped_propose_fields_are_client_errors(toy_served, field, raw):
         assert field in response.json()["error"]
 
 
+@pytest.mark.parametrize("path", ["/propose", "/value"])
+@pytest.mark.parametrize("state", [b"5", b"null", b'["q"]'], ids=["int", "null", "list"])
+def test_a_state_that_is_not_a_string_is_a_client_error_naming_it(toy_served, path, state):
+    _, _, remote = toy_served
+    body = b'{"state": ' + state + b', "n_samples": 2, "temperature": 1.0}'
+    with requests.Session() as session:
+        response = session.post(f"{remote.base_url}{path}", data=body, timeout=10)
+    assert response.status_code == 400, response.text
+    assert "state must be a string" in response.json()["error"]
+
+
 @pytest.mark.parametrize(
     "fields",
     [
