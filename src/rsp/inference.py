@@ -19,7 +19,6 @@ from .core import (
     ContractViolation,
     ReasoningState,
     answers_equivalent,
-    apply_step,
     is_terminal,
 )
 from .mcts import (
@@ -29,9 +28,10 @@ from .mcts import (
     SearchTree,
     build_tree,
     iter_nodes,
+    propose_children,
     sample_path,
 )
-from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend, ProposalRequest
+from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend
 
 # Sampling temperature for decode-time trees, below the 1.0 that beam
 # search, majority vote and training-time trees sample at.
@@ -104,8 +104,8 @@ def sbs_search(
 ) -> tuple[list[BeamCandidate], list[list[BeamCandidate]]]:
     """Step-level beam search; returns the final beam and per-step history.
 
-    Every live candidate is extended by up to ``expansion_width`` sampled
-    steps, each extension scored by the value model (each distinct state
+    Every live candidate is extended by up to ``expansion_width`` steps
+    from ``propose_children``, each extension scored by the value model (each distinct state
     once per call, from the value attached to its proposal when the backend
     attaches one); the pooled extensions (plus finished candidates, whose
     scores are frozen) are cut back to the best ``beam_width`` by score,
@@ -123,27 +123,17 @@ def sbs_search(
     scores: dict[ReasoningState, float] = {}
 
     def extend(candidate: BeamCandidate) -> list[BeamCandidate]:
-        proposals = backend.propose_steps(
-            ProposalRequest(
-                state=candidate.state,
-                n_samples=expansion_width,
-                temperature=temperature,
-                seed=rng.randrange(2**63),
-                with_values=True,
-            )
-        )
         extensions = []
-        for proposal in proposals:
-            extended = apply_step(candidate.state, proposal.step, max_depth)
+        for proposal, extended, terminal in propose_children(
+            candidate.state, backend, expansion_width, temperature, max_depth, rng
+        ):
             score = scores.get(extended)
             if score is None:
                 score = proposal.value
                 if score is None:
                     score = backend.predict_value(extended).value
                 scores[extended] = score
-            extensions.append(
-                BeamCandidate(extended, score, is_terminal(extended, max_depth))
-            )
+            extensions.append(BeamCandidate(extended, score, terminal))
         return extensions
 
     start = [BeamCandidate(state=question, score=0.0, terminal=False)] * beam_width

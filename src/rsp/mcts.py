@@ -32,7 +32,7 @@ from .core import (
     log_prior,
     normalize_answer,
 )
-from .policy import PolicyValueBackend, ProposalRequest
+from .policy import PolicyValueBackend, Proposal, ProposalRequest
 
 SNAPSHOT_SCHEMA = "rsp-tree/1"
 
@@ -157,38 +157,50 @@ def select(tree: SearchTree) -> list[SearchNode]:
     return path
 
 
+def propose_children(
+    state: ReasoningState,
+    backend: PolicyValueBackend,
+    width: int,
+    temperature: float,
+    max_depth: int,
+    rng: random.Random,
+) -> list[tuple[Proposal, ReasoningState, bool]]:
+    """Sample up to ``width`` next steps for ``state`` in one request, seeded
+    from ``rng`` and asking for each child's value; returns ``(proposal,
+    child state, terminal)`` for each proposal, in the backend's order."""
+    seed = rng.randrange(2**63)
+    request = ProposalRequest(state, width, temperature, seed, with_values=True)
+    children = []
+    for proposal in backend.propose_steps(request):
+        child = apply_step(state, proposal.step, max_depth)
+        children.append((proposal, child, is_terminal(child, max_depth)))
+    return children
+
+
 def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> list[SearchNode]:
-    """Create children for a non-terminal leaf from backend proposals.
+    """Create children for a non-terminal leaf from ``propose_children``.
 
     Terminal children are flagged at creation: an answer step ends the path
     (reward from gold-answer correctness when a gold answer is known), and a
     child at the depth budget without an answer terminates with reward -1.
     A backend returning no proposals turns the leaf itself into a terminal
-    dead end with reward -1. Every new child is about to be evaluated, so
-    the request asks for values; one the backend attaches becomes the
-    child's stored model value.
+    dead end with reward -1. A value the backend attaches to a proposal
+    becomes the child's stored model value.
     """
     if leaf.terminal:
         raise ContractViolation("cannot expand a terminal node")
     if leaf.children:
         raise ContractViolation("node is already expanded")
     cfg = tree.config
-    request = ProposalRequest(
-        state=leaf.state,
-        n_samples=cfg.expansion_width,
-        temperature=cfg.temperature,
-        seed=tree.rng.randrange(2**63),
-        with_values=True,
+    children = propose_children(
+        leaf.state, backend, cfg.expansion_width, cfg.temperature, cfg.max_depth, tree.rng
     )
-    proposals = backend.propose_steps(request)
-    if not proposals:
+    if not children:
         leaf.terminal = True
         leaf.reward = Reward(-1.0)
         return []
-    for proposal in proposals:
+    for proposal, child_state, terminal in children:
         step = proposal.step
-        child_state = apply_step(leaf.state, step, cfg.max_depth)
-        terminal = is_terminal(child_state, cfg.max_depth)
         reward: Reward | None = None
         if step.kind is StepKind.ANSWER:
             if tree.gold_answer is not None:
@@ -505,11 +517,7 @@ def snapshot_to_tree(doc) -> SearchTree:
                     log_prior(entry["prior"]),
                     StepKind(entry["step_kind"]),
                 )
-                state = ReasoningState(
-                    question_id=question.question_id,
-                    question_text=question.question_text,
-                    steps=parent.state.steps + (step,),
-                )
+                state = apply_step(parent.state, step, config.max_depth)
             node = SearchNode(
                 state=state,
                 stats=NodeStats(
