@@ -317,8 +317,14 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
     rows = _load_dataset(dataset_path, require_gold=False)
     dump_dir = Path(dump_trees) if dump_trees else None
     if dump_dir:
+        named: dict[str, object] = {}
         for row in rows:
-            _dump_name(row["id"])
+            name = _dump_name(row["id"])
+            if name in named:  # ids 5 and "5" are distinct records
+                raise DatasetError(
+                    f"question ids {named[name]!r} and {row['id']!r} both name {name}"
+                )
+            named[name] = row["id"]
         dump_dir.mkdir(parents=True, exist_ok=True)
 
     def work(item: tuple[int, dict]) -> dict:
@@ -364,16 +370,19 @@ def run_generate(settings: dict, dataset_path: str, out: str) -> dict:
     def work(item: tuple[int, dict]) -> list:
         index, row = item
         state = ReasoningState(question_id=row["id"], question_text=row["question"])
-        trees = [
-            build_tree(
-                state,
-                row["gold_answer"],
-                backend,
-                search,
-                derive_seed(settings["seed"], index, tree_index),
-            )
-            for tree_index in range(settings["trees_per_question"])
-        ]
+        try:
+            trees = [
+                build_tree(
+                    state,
+                    row["gold_answer"],
+                    backend,
+                    search,
+                    derive_seed(settings["seed"], index, tree_index),
+                )
+                for tree_index in range(settings["trees_per_question"])
+            ]
+        except ContractViolation as exc:  # every setting was checked: the backend broke it
+            raise EngineError(f"question {row['id']!r}: {exc}") from exc
         pooled = filter_solutions(harvest_paths(trees))
         return select_for_round(
             pooled,

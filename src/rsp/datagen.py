@@ -209,13 +209,15 @@ def export_jsonl(
 ) -> tuple[Path, Path]:
     """Write one JSON object per path plus a manifest alongside.
 
-    Records are ordered by (question_id, tree_id, path index), so identical
-    inputs produce byte-identical files.
+    Records are ordered by (question_id, tree_id, path index), integer ids
+    before string ids, so identical inputs produce byte-identical files.
     """
     out_path = Path(out_path)
     ordered = sorted(
         paths,
-        key=lambda p: (p.question_id, p.tree_id or 0, p.path_index or 0),
+        key=lambda p: (
+            isinstance(p.question_id, str), p.question_id, p.tree_id or 0, p.path_index or 0
+        ),
     )
     lines = []
     for path in ordered:

@@ -389,7 +389,16 @@ def q_targets(tree: SearchTree) -> dict[SearchNode, float]:
 
 
 def tree_to_snapshot(tree: SearchTree) -> dict:
-    """Self-describing JSON document for a built tree (nodes in preorder)."""
+    """Self-describing JSON document for a built tree (nodes in preorder).
+
+    The document keeps only the question text of the root state, so a tree
+    whose root state has steps is a ContractViolation.
+    """
+    if tree.root.state.steps:
+        raise ContractViolation(
+            f"{SNAPSHOT_SCHEMA} stores only the question, not the root's "
+            f"{tree.root.state.depth} step(s); snapshot a tree built from a question"
+        )
     nodes: list[dict] = []
 
     def visit(node: SearchNode, parent_id: int | None) -> None:
@@ -453,10 +462,12 @@ def snapshot_to_tree(doc) -> SearchTree:
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a second
     root, a repeated node id, a parent that is not an earlier node, a
     non-root node without a step, negative visits, ``|total_value| >
-    visits``, a depth other than the parent's plus one or a ``q`` other
-    than ``total_value / visits`` (null at zero visits) is a SnapshotError,
-    and so is any EngineError raised while rebuilding (a config the search
-    refuses, a step text that is not a step).
+    visits``, a depth other than its path's step count (0 at the root) or
+    a ``q`` other than ``total_value / visits`` (null at zero visits) is a
+    SnapshotError, and so is any EngineError raised while rebuilding (a
+    config the search refuses, a step text that is not a step, a node under
+    an answered node or past the config's ``max_depth``, which
+    ``apply_step`` refuses).
     """
     try:
         schema = json_field(doc, "schema", (str,), None)
@@ -489,11 +500,6 @@ def snapshot_to_tree(doc) -> SearchTree:
                         f"node {node_id} names parent {parent_id}, "
                         "which is not an earlier node"
                     )
-                if entry["depth"] != parent.depth + 1:
-                    raise SnapshotError(
-                        f"node {node_id} has depth {entry['depth']} under a "
-                        f"parent at depth {parent.depth}"
-                    )
             visits, total_value = entry["visits"], entry["total_value"]
             if visits < 0 or abs(total_value) > visits:
                 raise SnapshotError(
@@ -518,6 +524,11 @@ def snapshot_to_tree(doc) -> SearchTree:
                     StepKind(entry["step_kind"]),
                 )
                 state = apply_step(parent.state, step, config.max_depth)
+            if entry["depth"] != state.depth:
+                raise SnapshotError(
+                    f"node {node_id} has depth {entry['depth']}, but its path "
+                    f"from the question has {state.depth} step(s)"
+                )
             node = SearchNode(
                 state=state,
                 stats=NodeStats(

@@ -471,6 +471,19 @@ def test_dump_trees_rejects_path_like_ids(tmp_path, capsys, bad_id):
     assert list(tmp_path.rglob("*.tree.json")) == []
 
 
+def test_dump_trees_rejects_ids_whose_snapshot_names_collide(tmp_path, capsys):
+    # 5 and "5" are distinct records, but both would be written to 5.tree.json
+    rows = corpus_to_records(toy_corpus(3, 0))
+    rows[0]["id"], rows[2]["id"] = 5, "5"
+    dataset = write_dataset(tmp_path, rows)
+    dump_dir = tmp_path / "trees"
+    code = main(["solve", dataset, "--strategy", "mcts", "--dump-trees", str(dump_dir)])
+    assert code == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert "5 and '5'" in err and "5.tree.json" in err
+    assert not dump_dir.exists()
+
+
 def test_solve_over_the_wire_backend(tmp_path, monkeypatch):
     corpus = toy_corpus(2, seed=3)
     inner = ToyBackend.for_corpus(corpus, mode=Mode.ORACLE)

@@ -334,6 +334,18 @@ def test_export_orders_records_deterministically(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_export_orders_integer_ids_before_string_ids(tmp_path):
+    # a dataset may mix id kinds; ints and strs do not compare with "<"
+    paths = [
+        labeled_path([answer_step("1")], filter_level=FilterLevel.LEVEL2, question_id=qid)
+        for qid in ("b", 5, "a", 2)
+    ]
+    manifest = build_manifest(paths, 1, 1, 4, 4)
+    out, _ = export_jsonl(paths, tmp_path / "mixed.jsonl", manifest)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["question_id"] for r in records] == [2, 5, "a", "b"]
+
+
 def test_export_reruns_are_byte_identical(tmp_path):
     _, trees = build_toy_trees()
     survivors = filter_solutions(harvest_paths(trees))

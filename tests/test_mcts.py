@@ -28,6 +28,7 @@ from rsp.mcts import (
     snapshot_to_tree,
     tree_to_snapshot,
 )
+from rsp.policy import ProposalRequest
 from rsp.toyenv import (
     ActionKind,
     Mode,
@@ -591,6 +592,12 @@ def _depth_skips_a_level(nodes):
     nodes[-1]["depth"] += 1
 
 
+def _depths_shifted(nodes):
+    # every parent/child gap stays 1, but the root is not at depth 0
+    for node in nodes:
+        node["depth"] += 3
+
+
 def _q_off_the_average(nodes):
     nodes[-1]["q"] += 0.125
 
@@ -613,6 +620,7 @@ def _q_without_visits(nodes):
         _stepless_child,
         _repeated_id,
         _depth_skips_a_level,
+        _depths_shifted,
         _q_off_the_average,
         _q_null_after_visits,
         _q_without_visits,
@@ -629,6 +637,34 @@ def test_snapshot_rejects_inconsistent_nodes(corrupt):
     corrupt(doc["nodes"])
     with pytest.raises(SnapshotError):
         snapshot_to_tree(doc)
+
+
+def test_snapshot_rejects_nodes_past_the_config_depth_budget():
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    tree = build_tree(
+        problem.root_state(), problem.gold_answer, backend, SearchConfig(n_simulations=5), seed=5
+    )
+    doc = json.loads(json.dumps(tree_to_snapshot(tree)))
+    deepest = max(node["depth"] for node in doc["nodes"])
+    assert deepest >= 2
+    doc["config"]["max_depth"] = deepest - 1
+    with pytest.raises(SnapshotError, match="depth budget"):
+        snapshot_to_tree(doc)
+
+
+def test_snapshot_refuses_a_tree_whose_root_state_has_steps():
+    # the document keeps only the question text, so the root's steps would
+    # be lost and the reloaded children would be one step short
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    root = problem.root_state()
+    first = backend.propose_steps(ProposalRequest(root, 1, 1.0, seed=0))[0].step
+    assert first.kind is StepKind.CODE
+    config = SearchConfig(n_simulations=3, evaluation=EvaluationMode.MODEL_ONLY)
+    tree = build_tree(apply_step(root, first), None, backend, config, seed=5)
+    with pytest.raises(ContractViolation, match="root"):
+        tree_to_snapshot(tree)
 
 
 def test_snapshot_rejects_other_schema_versions():

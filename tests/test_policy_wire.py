@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from rsp.cli import EXIT_OK, main
+from rsp.cli import EXIT_BACKEND, EXIT_OK, main
 from rsp.core import STEP_OPEN, ContractViolation, Reward, Step, apply_step, normalize_answer, answers_equivalent
 from rsp.datagen import harvest_paths
 from rsp.inference import greedy_decode, majority_vote, mcts_decode, sbs_decode
@@ -1024,3 +1024,29 @@ def test_a_malformed_proposal_fails_its_question_and_the_run_goes_on(tmp_path, m
     assert [e["correct"] for e in reports] == [False, False]
     assert all("not a JSON object" in e["error"] for e in reports)
     assert len(handler.requests_seen) == 2
+
+
+@pytest.mark.parametrize(
+    "proposal",
+    [{**_PROPOSAL, "mean_log_prob": 0.5}, {**_PROPOSAL, "text": "no step delimiters"}],
+    ids=["positive-mlp", "undelimited-text"],
+)
+def test_generate_calls_a_backend_contract_breach_a_backend_error(tmp_path, monkeypatch, capsys, proposal):
+    # every setting was checked before the first tree, so a ContractViolation
+    # while trees are built is the backend's, not the configuration's
+    corpus = toy_corpus(2, seed=3)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(json.dumps(row) + "\n" for row in corpus_to_records(corpus)), encoding="utf-8"
+    )
+    server, handler = _start_stub([(200, {"proposals": [proposal]})])
+    out = tmp_path / "gen.jsonl"
+    try:
+        monkeypatch.setenv(BACKEND_URL_ENV, _url(server))
+        code = main(["generate", str(dataset), "--backend", "remote", "--out", str(out)])
+    finally:
+        stop_server(server)
+    assert code == EXIT_BACKEND
+    assert capsys.readouterr().err.startswith("backend error: ")
+    assert len(handler.requests_seen) == 1
+    assert not out.exists()
