@@ -105,12 +105,13 @@ def sbs_search(
     """Step-level beam search; returns the final beam and per-step history.
 
     Every live candidate is extended by up to ``expansion_width`` steps
-    from ``propose_children``, each extension scored by the value model (each distinct state
-    once per call, from the value attached to its proposal when the backend
-    attaches one); the pooled extensions (plus finished candidates, whose
-    scores are frozen) are cut back to the best ``beam_width`` by score,
-    ties resolved by insertion order. Stops when every candidate is
-    finished, the depth budget runs out, or all live candidates dead-end.
+    from ``propose_children``, each extension scored by the value model
+    (each distinct state once per call, from the value attached to its
+    proposal when the backend attaches one); the pooled extensions (plus
+    finished candidates, whose scores are frozen) are cut back to the best
+    ``beam_width`` by score, ties resolved by insertion order. Stops when
+    every candidate is finished, the depth budget runs out, or all live
+    candidates dead-end.
     """
     if beam_width < 1 or expansion_width < 1:
         raise ContractViolation("beam_width and expansion_width must be >= 1")
