@@ -204,9 +204,9 @@ class RemoteBackend(PolicyValueBackend):
     state plus that proposal; one that ignores it answers without the list,
     and the caller then asks /value for each. A ``values`` entry that is not
     a list of the proposals' length is a TransportError. /value answers and
-    attached values go through one reader (``_value_from_wire``). A reply
-    that is not a JSON object, or a proposal ``_step_from_wire`` refuses, is
-    a TransportError that is not retried.
+    attached values go through one reader (``_value_from_wire``). A 200
+    reply whose body is not JSON, or not a JSON object, or a proposal
+    ``_step_from_wire`` refuses, is a TransportError that is not retried.
 
     The base URL must be ``http://`` or ``https://`` with a host; anything
     else is a ContractViolation when the client is built. Requests carry the
@@ -220,9 +220,16 @@ class RemoteBackend(PolicyValueBackend):
     500) and no cookies are kept. A body holding a non-finite number is a
     ContractViolation before anything is sent.
 
-    ``requests`` is imported when the first client is built, not with this
-    module, so a process that only serves or searches in process never
-    loads the HTTP client stack.
+    For an ``http://`` base URL that no proxy applies to, that adapter is
+    ``rsp.transport.KeptAliveAdapter``: requests' own ``send`` over one
+    kept-alive socket that carries each request in one send and reads the
+    reply itself. An ``https://`` or proxied URL keeps requests' stock
+    adapter.
+
+    ``requests`` and ``rsp.transport`` are imported when the first client
+    is built or its first session made, not with this module, so a process
+    that only serves or searches in process never loads the HTTP client
+    stack.
     """
 
     def __init__(
@@ -269,6 +276,13 @@ class RemoteBackend(PolicyValueBackend):
             session.verify = settings["verify"]
             session.auth = requests.utils.get_netrc_auth(self.base_url)
             session.trust_env = False
+            if self.base_url.startswith("http://") and not requests.utils.select_proxy(
+                self.base_url, session.proxies
+            ):
+                from .transport import ACCEPT_ENCODING, KeptAliveAdapter
+
+                session.mount(self.base_url, KeptAliveAdapter(self.base_url))
+                session.headers["Accept-Encoding"] = ACCEPT_ENCODING
             local.adapter = session.get_adapter(self.base_url)
             local.session = session
             prepared = local.prepared = {}
@@ -314,21 +328,25 @@ class RemoteBackend(PolicyValueBackend):
                     cert=session.cert,
                     proxies=session.proxies,
                 )
-                response.content  # read in full: the connection goes back to the pool
-                if response.status_code >= 500:
-                    last_error = TransportError(
-                        f"{path} returned {response.status_code}"
-                    )
-                    continue
-                if response.status_code != 200:
-                    raise TransportError(
-                        f"{path} returned {response.status_code}: {response.text[:200]}"
-                    )
-                # read as the one field of a record, so the reply must be an object
-                return _from_reply(f"{path} reply", {"reply": response.json()}, "reply", (dict,))
+                content = response.content  # read in full: the connection can be reused
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
-        raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error
+                continue
+            if response.status_code >= 500:
+                last_error = TransportError(f"{path} returned {response.status_code}")
+                continue
+            if response.status_code != 200:
+                raise TransportError(f"{path} returned {response.status_code}: {response.text[:200]}")
+            break
+        else:
+            raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error
+        # A reply that does not parse would not parse on a retry either.
+        try:
+            reply = json.loads(content)
+        except ValueError:
+            raise TransportError(f"{path} reply is not JSON: {content[:200]!r}") from None
+        # read as the one field of a record, so the reply must be an object
+        return _from_reply(f"{path} reply", {"reply": reply}, "reply", (dict,))
 
     def propose_steps(self, request: ProposalRequest) -> list[Proposal]:
         if request.state.has_answer:
