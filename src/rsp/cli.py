@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,14 +31,7 @@ from .datagen import (
     harvest_paths,
     select_for_round,
 )
-from .inference import (
-    MCTS_DECODE_TEMPERATURE,
-    decode_tree,
-    greedy_decode,
-    majority_vote,
-    q_sweep,
-    sbs_decode,
-)
+from .inference import DECODERS, MCTS_DECODE_TEMPERATURE, q_sweep
 from .mcts import (
     EvaluationMode,
     SearchConfig,
@@ -66,7 +58,7 @@ class DatasetError(EngineError):
     pass
 
 
-STRATEGIES = ("greedy", "sbs", "mcts", "maj")
+STRATEGIES = tuple(DECODERS)
 
 # The largest beam width (b1, for solve and inspect) and vote count (k): far
 # above any useful width, and small enough that a beam that wide fits in memory.
@@ -88,7 +80,7 @@ _SETTINGS = {
     "t_max": (SearchConfig.max_depth, int, None),
     "temperature": (None, float, None),  # resolved per strategy
     "k": (5, int, range(1, MAX_WIDTH + 1)),
-    "seed": (0, int, None),
+    "seed": (0, int, range(-2**63, 2**63)),  # what core.derive_seed mixes: 8 signed bytes
     "jobs": (1, int, 1),
     "trees_per_question": (10, int, 1),
     "max_pos": (4, int, 0),
@@ -203,8 +195,8 @@ def _check_out(out: str) -> None:
 
 def _search_config(settings: dict, evaluation: EvaluationMode, temperature: float) -> SearchConfig:
     """The search settings, built (and so checked) before any question runs;
-    ``temperature`` applies when the setting is unset. In ``solve``, b2,
-    t_max and the temperature also drive beam search and majority vote."""
+    ``temperature`` applies when the setting is unset. In ``solve`` it is
+    the ``config`` that every ``rsp.inference.DECODERS`` entry reads."""
     return SearchConfig(
         c_puct=settings["c_puct"],
         n_simulations=settings["n_simulations"],
@@ -217,13 +209,17 @@ def _search_config(settings: dict, evaluation: EvaluationMode, temperature: floa
 
 def _dump_name(question_id) -> str:
     """Snapshot file name for a question; ids that could name another
-    directory are a dataset error."""
-    text = str(question_id)
-    if any(c in text for c in "/\\\0"):
-        raise DatasetError(
-            f"question id {question_id!r} cannot name a tree snapshot file"
-        )
-    return f"{text}.tree.json"
+    directory, or whose name is over 255 bytes (NAME_MAX on Linux and
+    macOS) or that the file system cannot encode (a lone surrogate), are a
+    dataset error."""
+    name = f"{question_id}.tree.json"
+    try:
+        fits = len(os.fsencode(name)) <= 255 and not any(c in name for c in "/\\\0")
+    except UnicodeEncodeError:
+        fits = False
+    if not fits:
+        raise DatasetError(f"question id {question_id!r} cannot name a tree snapshot file")
+    return name
 
 
 def _map_in_order(work, items, jobs: int) -> list:
@@ -244,8 +240,6 @@ def _solve_one(
     dump_dir: Path | None,
 ) -> dict:
     state = ReasoningState(question_id=row["id"], question_text=row["question"])
-    question_seed = derive_seed(settings["seed"], index)
-    strategy = settings["strategy"]
     entry = {
         "id": row["id"],
         "answer": None,
@@ -257,36 +251,13 @@ def _solve_one(
         "error": None,
     }
     try:
-        if strategy == "greedy":
-            report = greedy_decode(state, backend, max_depth=settings["t_max"])
-        elif strategy == "sbs":
-            report = sbs_decode(
-                state,
-                backend,
-                beam_width=settings["b1"],
-                expansion_width=settings["b2"],
-                max_depth=settings["t_max"],
-                temperature=search.temperature,
-                seed=question_seed,
+        report = DECODERS[settings["strategy"]](
+            state, backend, search, derive_seed(settings["seed"], index), settings["b1"], settings["k"]
+        )
+        if dump_dir is not None:  # only mcts dumps, and it builds a tree
+            (dump_dir / _dump_name(row["id"])).write_text(
+                json.dumps(tree_to_snapshot(report.tree), ensure_ascii=False), encoding="utf-8"
             )
-        elif strategy == "maj":
-            report = majority_vote(
-                state,
-                backend,
-                k=settings["k"],
-                temperature=search.temperature,
-                max_depth=settings["t_max"],
-                seed=question_seed,
-            )
-        else:  # mcts
-            started = time.perf_counter()
-            tree = build_tree(state, None, backend, search, question_seed)
-            if dump_dir is not None:
-                snapshot = tree_to_snapshot(tree)
-                (dump_dir / _dump_name(row["id"])).write_text(
-                    json.dumps(snapshot, ensure_ascii=False), encoding="utf-8"
-                )
-            report = decode_tree(tree, beam_width=settings["b1"], started=started)
     except EngineError as exc:
         entry["error"] = str(exc)
         if entry["gold"]:

@@ -4,14 +4,16 @@ All strategies return an InferenceReport. Step-level beam search keeps the
 best B1 partial solutions, extending each with B2 sampled proposals and
 scoring extensions with the value model. Tree decoding first builds a
 search tree (model-only evaluation: no reward peeking at inference time),
-then sweeps it top-down by stored edge values.
+then sweeps it top-down by stored edge values. ``DECODERS`` maps each
+strategy name to its decoder, all called the same way; ``rsp solve`` runs
+every strategy through it.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_MAX_DEPTH,
@@ -50,17 +52,19 @@ class BeamCandidate:
 @dataclass(frozen=True)
 class InferenceReport:
     """Outcome of one decode: ``path`` is the chosen final state, and
-    ``answer`` is None when that state did not answer."""
+    ``answer`` is None when that state did not answer. ``tree`` is the
+    tree a tree decode swept, None for the other strategies."""
 
     answer: Answer | None
     path: ReasoningState
     elapsed_seconds: float
     steps_taken: int
     candidates_returned: int
+    tree: SearchTree | None = field(default=None, repr=False, compare=False)
 
 
 def _finish(
-    state: ReasoningState, started: float, candidates_returned: int
+    state: ReasoningState, started: float, candidates_returned: int, tree: SearchTree | None = None
 ) -> InferenceReport:
     return InferenceReport(
         answer=state.answer,
@@ -68,6 +72,7 @@ def _finish(
         elapsed_seconds=time.perf_counter() - started,
         steps_taken=len(state.steps),
         candidates_returned=candidates_returned,
+        tree=tree,
     )
 
 
@@ -213,10 +218,10 @@ def count_terminal_nodes(tree: SearchTree) -> int:
 
 
 def decode_tree(tree: SearchTree, beam_width: int = 1, started: float | None = None) -> InferenceReport:
-    """Sweep an already-built tree and report its best path."""
+    """Sweep an already-built tree and report its best path and the tree."""
     started = time.perf_counter() if started is None else started
     best, _ = q_sweep(tree.root, beam_width, tree.config.q_init)
-    return _finish(best.state, started, count_terminal_nodes(tree))
+    return _finish(best.state, started, count_terminal_nodes(tree), tree)
 
 
 def mcts_decode(
@@ -274,3 +279,24 @@ def majority_vote(
         return _finish(finals[0], started, k)
     winner = max(groups, key=lambda g: (g["count"], -g["first"]))
     return _finish(finals[winner["first"]], started, k)
+
+
+# Every strategy by name, each called as
+# (question, backend, config, seed, beam_width, k). ``config`` gives the
+# proposals per step, the depth budget and the sampling temperature; greedy
+# reads only the depth budget, and mcts builds its tree under all of it.
+DECODERS = {
+    "greedy": lambda question, backend, config, seed, beam_width, k: greedy_decode(
+        question, backend, config.max_depth
+    ),
+    "sbs": lambda question, backend, config, seed, beam_width, k: sbs_decode(
+        question, backend, beam_width, config.expansion_width, config.max_depth,
+        config.temperature, seed,
+    ),
+    "mcts": lambda question, backend, config, seed, beam_width, k: mcts_decode(
+        question, backend, config, beam_width, seed
+    ),
+    "maj": lambda question, backend, config, seed, beam_width, k: majority_vote(
+        question, backend, k, config.temperature, config.max_depth, seed
+    ),
+}

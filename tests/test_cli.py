@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, MAX_WIDTH, build_parser, main
+from rsp.core import ReasoningState, derive_seed
 from rsp.datagen import manifest_path_for
+from rsp.inference import greedy_decode, inference_search_config, majority_vote, mcts_decode, sbs_decode
+from rsp.mcts import build_tree, tree_to_snapshot
 from rsp.policy import BACKEND_URL_ENV, serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
 from conftest import stop_server
@@ -344,6 +347,8 @@ def test_dump_trees_without_the_tree_strategy_exits_before_the_dataset_loads(tmp
         ["--strategy", "sbs", "--b1", "1000000000000000000000000000000"],
         ["--strategy", "mcts", "--b1", str(MAX_WIDTH + 1)],
         ["--strategy", "maj", "--k", str(MAX_WIDTH + 1)],
+        ["--seed", "9223372036854775808"],
+        ["--seed", "-99999999999999999999999"],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -406,8 +411,16 @@ def test_a_bad_backend_choice_in_a_config_file_exits_before_the_dataset_loads(
         ("generate", {"k": MAX_WIDTH + 1}, f"k must be <= {MAX_WIDTH}"),
         ("solve", {"max_pos": -1}, "max_pos must be >= 0"),
         ("solve", {"trees_per_question": 0}, "trees_per_question must be >= 1"),
+        # seeds are mixed as 8 signed bytes
+        ("solve", {"seed": 2**63}, f"seed must be <= {2**63 - 1}"),
+        ("solve", {"seed": -(10**23)}, f"seed must be >= {-(2**63)}"),
+        ("generate", {"seed": 2**63}, f"seed must be <= {2**63 - 1}"),
+        ("generate", {"seed": -(10**23)}, f"seed must be >= {-(2**63)}"),
     ],
-    ids=["generate-strategy", "generate-b1", "generate-k", "solve-max_pos", "solve-trees_per_question"],
+    ids=[
+        "generate-strategy", "generate-b1", "generate-k", "solve-max_pos", "solve-trees_per_question",
+        "solve-seed-high", "solve-seed-low", "generate-seed-high", "generate-seed-low",
+    ],
 )
 def test_a_setting_outside_its_domain_is_refused_by_every_command(
     tmp_path, capsys, command, setting, message
@@ -454,7 +467,17 @@ def test_jobs_below_one_exit_before_the_dataset_loads(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b"])
+@pytest.mark.parametrize(
+    "bad_id",
+    [
+        "../x",
+        "a/b",
+        "a\\b",
+        # a toy id the backend rebuilds, but whose snapshot name is over 255 bytes
+        pytest.param("toy-" + "0" * 290 + "17", id="name-over-255-bytes"),
+        pytest.param("a\ud800", id="lone-surrogate"),
+    ],
+)
 def test_dump_trees_rejects_path_like_ids(tmp_path, capsys, bad_id):
     rows = corpus_to_records(toy_corpus(2, 0))
     rows[1]["id"] = bad_id
@@ -510,7 +533,14 @@ def _without_timings(result):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--strategy", "mcts"], ["--strategy", "sbs", "--b1", "3"]]
+    "flags",
+    [
+        ["--strategy", "mcts"],
+        ["--strategy", "sbs", "--b1", "3"],
+        ["--strategy", "greedy"],
+        # the k paths share one random stream
+        ["--strategy", "maj", "--k", "4"],
+    ],
 )
 def test_remote_jobs_match_serial_and_in_process_reports(tmp_path, monkeypatch, flags):
     corpus = toy_corpus(6, seed=8)
@@ -534,6 +564,55 @@ def test_remote_jobs_match_serial_and_in_process_reports(tmp_path, monkeypatch, 
         stop_server(server)
     assert all(e["error"] is None for e in runs["toy"][1])
     assert runs["remote-1"] == runs["remote-2"] == runs["toy"]
+
+
+@pytest.mark.parametrize("non_default", [False, True], ids=["defaults", "non-default"])
+@pytest.mark.parametrize("strategy", ["greedy", "sbs", "mcts", "maj"])
+def test_solve_runs_each_strategy_as_the_library_decoder_does(tmp_path, strategy, non_default):
+    # solve's defaults are the library's; the non-default flags map to these arguments
+    given = (
+        {"beam_width": 2, "expansion_width": 3, "max_depth": 6, "k": 4, "temperature": 0.8}
+        if non_default else {}
+    )
+    seed = 11 if non_default else 0
+    flags = (
+        ["--b1", "2", "--b2", "3", "--t-max", "6", "--k", "4", "--temperature", "0.8", "--seed", "11"]
+        if non_default else []
+    )
+    rows = corpus_to_records(toy_corpus(3, seed=4))
+    dataset = write_dataset(tmp_path, rows)
+    out = tmp_path / "report.json"
+    dump_dir = tmp_path / "trees"
+    dump = ["--dump-trees", str(dump_dir)] if strategy == "mcts" else []
+    assert main(["solve", dataset, "--strategy", strategy, *flags, *dump, "--out", str(out)]) == EXIT_OK
+    entries = json.loads(out.read_text())["reports"]
+    assert len(entries) == len(rows)
+
+    def pick(*names):
+        return {name: given[name] for name in names if name in given}
+
+    backend = ToyBackend(mode=Mode.ORACLE)
+    config = inference_search_config(**pick("expansion_width", "max_depth", "temperature"))
+    for index, (row, entry) in enumerate(zip(rows, entries)):
+        state = ReasoningState(question_id=row["id"], question_text=row["question"])
+        question_seed = derive_seed(seed, index)
+        if strategy == "greedy":
+            report = greedy_decode(state, backend, **pick("max_depth"))
+        elif strategy == "sbs":
+            report = sbs_decode(
+                state, backend, seed=question_seed,
+                **pick("beam_width", "expansion_width", "max_depth", "temperature"),
+            )
+        elif strategy == "mcts":
+            report = mcts_decode(state, backend, config, seed=question_seed, **pick("beam_width"))
+            tree = build_tree(state, None, backend, config, question_seed)
+            dumped = (dump_dir / f"{row['id']}.tree.json").read_text(encoding="utf-8")
+            assert dumped == json.dumps(tree_to_snapshot(tree), ensure_ascii=False)
+        else:
+            report = majority_vote(state, backend, seed=question_seed, **pick("k", "temperature", "max_depth"))
+        assert entry["error"] is None
+        assert entry["answer"] == (report.answer.normalized if report.answer else None)
+        assert (entry["steps"], entry["candidates"]) == (report.steps_taken, report.candidates_returned)
 
 
 def test_backend_failures_become_per_question_entries(tmp_path, monkeypatch, capsys):
@@ -585,6 +664,8 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
         ["--temperature", "inf"],
         ["--config", str(CONFIGS / "trees_per_question_float.json")],
         ["--config", str(CONFIGS / "c_puct_true.json")],
+        ["--seed", "9223372036854775808"],
+        ["--seed", "-99999999999999999999999"],
     ],
 )
 def test_generate_rejects_invalid_settings_before_writing(tmp_path, capsys, flags):
