@@ -23,6 +23,7 @@ from .core import (
     derive_seed,
     is_correct,
     json_field,
+    parse_json,
 )
 from .datagen import (
     build_manifest,
@@ -37,7 +38,7 @@ from .mcts import (
     SearchConfig,
     SnapshotError,
     build_tree,
-    iter_nodes,
+    iter_paths,
     snapshot_to_tree,
     tree_to_snapshot,
 )
@@ -93,10 +94,10 @@ _FLAG_HELP = {"b1": "beam width", "b2": "proposals per expansion", "k": "votes f
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = parse_json(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
+    except ValueError as exc:  # not UTF-8, not JSON (nesting too deep included), or an integer too long to read
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     try:
         given = {key: json_field(raw, key, (kind, None), None) for key, (_, kind, _) in _SETTINGS.items()}
@@ -161,8 +162,8 @@ def _load_dataset(path: str, require_gold: bool) -> list[dict]:
         if not line:
             continue
         try:
-            row = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
+            row = parse_json(line)
+        except ValueError as exc:  # a JSONDecodeError, nesting too deep, or an integer too long to read
             raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}")
         try:
             for key, kinds in _RECORD_FIELDS.items():
@@ -405,14 +406,14 @@ def _step_caption(node) -> str:
 def run_inspect(snapshot_path: str, beam_width: int) -> str:
     _check("b1", beam_width)
     try:
-        doc = json.loads(Path(snapshot_path).read_text(encoding="utf-8"))
+        doc = parse_json(Path(snapshot_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DatasetError(f"cannot read snapshot {snapshot_path}: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
+    except ValueError as exc:  # not UTF-8, not JSON (nesting too deep included), or an integer too long to read
         raise SnapshotError(f"snapshot {snapshot_path} is not valid JSON: {exc}")
     tree = snapshot_to_tree(doc)
 
-    nodes = list(iter_nodes(tree.root))
+    nodes = [path[-1] for path in iter_paths(tree.root)]
     by_depth: dict[int, int] = {}
     for node in nodes:
         by_depth[node.depth] = by_depth.get(node.depth, 0) + 1

@@ -8,6 +8,7 @@ is plain text concatenation.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -339,6 +340,15 @@ def derive_seed(*parts: int) -> int:
 
 _JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string",
                bool: "a boolean", list: "a list", dict: "an object", None: "null"}
+
+
+def parse_json(text: str | bytes):
+    """``json.loads(text)``, with JSON nested too deep to read (the decoder's
+    RecursionError) a ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
 
 
 def json_field(record, key: str, kinds: tuple, default=...):

@@ -22,7 +22,7 @@ from .core import (
     Step,
     is_correct,
 )
-from .mcts import SearchNode, SearchTree, q_targets
+from .mcts import SearchTree, iter_paths, value_target
 
 
 class FilterLevel(Enum):
@@ -62,48 +62,44 @@ class SolutionPath:
 
 
 def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
-    """One SolutionPath per visited, answered terminal node of each tree.
+    """One SolutionPath per visited, answered terminal node of each tree, in
+    preorder.
 
-    Paths are labeled correct/incorrect against the tree's gold answer.
-    Terminal nodes that never answered (depth cutoffs, dead ends) carry no
-    predicted answer and are not harvested.
+    Paths are labeled correct/incorrect against the tree's gold answer. Each
+    step's target is its node's ``value_target``; a step without one (say an
+    answered node without a reward, loaded from a snapshot) is a
+    ContractViolation. Terminal nodes that never answered (depth cutoffs,
+    dead ends) carry no predicted answer and are not harvested.
     """
     paths: list[SolutionPath] = []
     for tree_id, tree in enumerate(trees):
         if tree.gold_answer is None:
             raise ContractViolation("cannot harvest a tree built without a gold answer")
-        targets = q_targets(tree)
         index = 0
-
-        def visit(node: SearchNode, lineage: list[SearchNode]) -> None:
-            nonlocal index
-            lineage.append(node)
-            if (
-                node.terminal
-                and node.stats.visits > 0
-                and node.state.has_answer
-            ):
-                steps = tuple(n.step for n in lineage if n.step is not None)
-                predicted = steps[-1].answer
-                paths.append(
-                    SolutionPath(
-                        question_id=tree.question.question_id,
-                        question_text=tree.question.question_text,
-                        steps=steps,
-                        predicted_answer=predicted,
-                        correct=is_correct(predicted, tree.gold_answer),
-                        per_step_targets=tuple(targets[n] for n in lineage[1:]),
-                        tree_id=tree_id,
-                        seed=tree.seed,
-                        path_index=index,
-                    )
+        for lineage in iter_paths(tree.root):
+            node = lineage[-1]
+            if not (node.terminal and node.stats.visits > 0 and node.state.has_answer):
+                continue
+            targets = tuple(map(value_target, lineage[1:]))
+            if None in targets:
+                depth = lineage[1 + targets.index(None)].depth
+                raise ContractViolation(f"the node at depth {depth} on an answered path has no value target")
+            steps = tuple(n.step for n in lineage[1:])
+            predicted = steps[-1].answer
+            paths.append(
+                SolutionPath(
+                    question_id=tree.question.question_id,
+                    question_text=tree.question.question_text,
+                    steps=steps,
+                    predicted_answer=predicted,
+                    correct=is_correct(predicted, tree.gold_answer),
+                    per_step_targets=targets,
+                    tree_id=tree_id,
+                    seed=tree.seed,
+                    path_index=index,
                 )
-                index += 1
-            for child in node.children:
-                visit(child, lineage)
-            lineage.pop()
-
-        visit(tree.root, [])
+            )
+            index += 1
     return paths
 
 

@@ -359,33 +359,37 @@ def mc_rollout_estimate(
     return total / n_rollouts
 
 
-def iter_nodes(root: SearchNode) -> Iterator[SearchNode]:
-    """Every node of the subtree under ``root``, ``root`` first (depth first,
-    last child first)."""
-    stack = [root]
+def iter_paths(root: SearchNode) -> Iterator[tuple[SearchNode, ...]]:
+    """The root-to-node path of every node under ``root``, in preorder: a
+    node comes before its children, and children come in order. The walk
+    keeps its own stack, so a tree of any depth is walked."""
+    stack = [(root,)]
     while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        yield node
+        path = stack.pop()
+        yield path
+        for child in reversed(path[-1].children):
+            stack.append(path + (child,))
+
+
+def value_target(node: SearchNode) -> float | None:
+    """The value-regression target of the edge into ``node``: a visited
+    terminal's reward, or a visited non-terminal's edge average. None for an
+    unvisited node or a terminal without a recorded reward."""
+    stats = node.stats
+    if not stats.visits:
+        return None
+    if node.terminal:
+        return None if node.reward is None else node.reward.value
+    return stats.total_value / stats.visits
 
 
 def q_targets(tree: SearchTree) -> dict[SearchNode, float]:
-    """Per-node value-regression targets.
-
-    Visited non-terminal nodes regress to the running average of the edge
-    that reaches them; visited terminal nodes to their reward. Unvisited
-    nodes (and terminal nodes without a recorded reward) are excluded.
-    """
-    targets: dict[SearchNode, float] = {}
-    for node in iter_nodes(tree.root):
-        if node is tree.root or node.stats.visits == 0:
-            continue
-        if node.terminal:
-            if node.reward is not None:
-                targets[node] = node.reward.value
-        else:
-            targets[node] = node.stats.q(tree.config.q_init)
-    return targets
+    """The ``value_target`` of every non-root node that has one, in preorder."""
+    return {
+        path[-1]: target
+        for path in iter_paths(tree.root)
+        if len(path) > 1 and (target := value_target(path[-1])) is not None
+    }
 
 
 def tree_to_snapshot(tree: SearchTree) -> dict:
@@ -400,29 +404,27 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
             f"{tree.root.state.depth} step(s); snapshot a tree built from a question"
         )
     nodes: list[dict] = []
-
-    def visit(node: SearchNode, parent_id: int | None) -> None:
-        node_id = len(nodes)
+    ids: dict[SearchNode, int] = {}
+    for path in iter_paths(tree.root):
+        node = path[-1]
+        stats, step = node.stats, node.step
+        ids[node] = len(nodes)
         nodes.append(
             {
-                "id": node_id,
-                "parent_id": parent_id,
-                "step_kind": node.step.kind.value if node.step else None,
-                "step_text": node.step.text if node.step else None,
-                "prior": node.stats.prior,
-                "visits": node.stats.visits,
-                "total_value": node.stats.total_value,
-                "q": node.stats.q(tree.config.q_init) if node.stats.visits else None,
-                "model_value": node.stats.model_value,
+                "id": ids[node],
+                "parent_id": ids[path[-2]] if len(path) > 1 else None,
+                "step_kind": step.kind.value if step else None,
+                "step_text": step.text if step else None,
+                "prior": stats.prior,
+                "visits": stats.visits,
+                "total_value": stats.total_value,
+                "q": stats.total_value / stats.visits if stats.visits else None,
+                "model_value": stats.model_value,
                 "terminal": node.terminal,
                 "reward": node.reward.value if node.reward else None,
                 "depth": node.depth,
             }
         )
-        for child in node.children:
-            visit(child, node_id)
-
-    visit(tree.root, None)
     return {
         "schema": SNAPSHOT_SCHEMA,
         "question_id": tree.question.question_id,
@@ -510,6 +512,9 @@ def snapshot_to_tree(doc) -> SearchTree:
                 raise SnapshotError(
                     f"node {node_id} has q {entry['q']}, not total value / visits"
                 )
+            stats = NodeStats(  # checks the prior's range before log_prior reads it
+                prior=entry["prior"], visits=visits, total_value=total_value, model_value=entry["model_value"]
+            )
             if entry["step_text"] is None:
                 if parent is not None:
                     raise SnapshotError(f"non-root node {node_id} has no step")
@@ -518,11 +523,7 @@ def snapshot_to_tree(doc) -> SearchTree:
             else:
                 if parent is None:
                     raise SnapshotError("non-root node without a parent")
-                step = Step.from_text(
-                    entry["step_text"],
-                    log_prior(entry["prior"]),
-                    StepKind(entry["step_kind"]),
-                )
+                step = Step.from_text(entry["step_text"], log_prior(stats.prior), StepKind(entry["step_kind"]))
                 state = apply_step(parent.state, step, config.max_depth)
             if entry["depth"] != state.depth:
                 raise SnapshotError(
@@ -531,12 +532,7 @@ def snapshot_to_tree(doc) -> SearchTree:
                 )
             node = SearchNode(
                 state=state,
-                stats=NodeStats(
-                    prior=entry["prior"],
-                    visits=visits,
-                    total_value=total_value,
-                    model_value=entry["model_value"],
-                ),
+                stats=stats,
                 step=step,
                 depth=entry["depth"],
                 terminal=entry["terminal"],

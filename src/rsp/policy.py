@@ -27,6 +27,7 @@ from .core import (
     Step,
     StepKind,
     json_field,
+    parse_json,
 )
 
 if TYPE_CHECKING:
@@ -342,7 +343,7 @@ class RemoteBackend(PolicyValueBackend):
             raise TransportError(f"POST {path} failed after {self.max_attempts} attempts") from last_error
         # A reply that does not parse would not parse on a retry either.
         try:
-            reply = json.loads(content)
+            reply = parse_json(content)
         except ValueError:
             raise TransportError(f"{path} reply is not JSON: {content[:200]!r}") from None
         # read as the one field of a record, so the reply must be an object
@@ -531,7 +532,7 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         # contract, fails the same way on every attempt: answer 4xx so the
         # client does not retry it. Only unexpected failures are 500s.
         try:
-            body = json.loads(raw)
+            body = parse_json(raw)
             state = type(self).state_decoder(json_field(body, "state", (str,)))
             if self.path == "/propose":
                 request = _proposal_request_from_wire(state, body)

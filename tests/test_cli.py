@@ -254,6 +254,22 @@ def test_an_input_file_that_is_not_utf8_is_refused_without_a_traceback(tmp_path,
     assert "utf-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, code", [("dataset", EXIT_DATASET), ("config", EXIT_CONFIG), ("snapshot", EXIT_DATASET)]
+)
+def test_an_input_file_nested_too_deep_is_refused_like_any_malformed_json(tmp_path, capsys, command, code):
+    # deeper than the JSON decoder can recurse
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = {
+        "dataset": ["solve", str(nested)],
+        "config": ["solve", toy_dataset(tmp_path, n=1), "--config", str(nested)],
+        "snapshot": ["inspect", str(nested)],
+    }[command]
+    assert main(argv) == code
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     dataset = toy_dataset(tmp_path, n=1)
     config = tmp_path / "cfg.json"
@@ -293,7 +309,7 @@ def test_remote_backend_requires_a_url(tmp_path, capsys, monkeypatch):
     assert BACKEND_URL_ENV in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("url", ["nohost", "ftp://x", "http://"])
+@pytest.mark.parametrize("url", ["nohost", "ftp://x", "http://", "http://127.0.0.1:99999"])
 @pytest.mark.parametrize("command", ["solve", "generate"])
 def test_a_backend_url_without_an_http_host_is_a_config_error(
     tmp_path, capsys, monkeypatch, command, url
@@ -349,6 +365,8 @@ def test_dump_trees_without_the_tree_strategy_exits_before_the_dataset_loads(tmp
         ["--strategy", "maj", "--k", str(MAX_WIDTH + 1)],
         ["--seed", "9223372036854775808"],
         ["--seed", "-99999999999999999999999"],
+        ["--t-max", "0"],
+        ["--config", str(CONFIGS / "no-such-config.json")],
     ],
 )
 def test_invalid_settings_exit_before_any_question(tmp_path, capsys, flags):
@@ -765,7 +783,33 @@ def _doctor_step_text(doc):
     doc["nodes"][-1]["step_text"] = doc["nodes"][-1]["step_text"].removeprefix("<step>")
 
 
-@pytest.mark.parametrize("doctor", [_doctor_c_puct, _doctor_step_text])
+def _doctor_max_depth_zero(doc):
+    doc["config"]["max_depth"] = 0
+    return "malformed snapshot: max_depth must be >= 1"
+
+
+def _doctor_leaf_prior_zero(doc):
+    doc["nodes"][-1]["prior"] = 0.0
+    return "malformed snapshot: prior must lie in (0, 1]"
+
+
+def _doctor_leaf_prior_negative(doc):
+    doc["nodes"][-1]["prior"] = -0.5
+    return "malformed snapshot: prior must lie in (0, 1]"
+
+
+def _doctor_no_nodes(doc):
+    doc["nodes"] = []
+    return "snapshot has no root node"
+
+
+# Each doctor breaks a dumped snapshot and may return the message expected
+# after "input error: "; without one, any malformed-snapshot message will do.
+@pytest.mark.parametrize(
+    "doctor",
+    [_doctor_c_puct, _doctor_step_text, _doctor_max_depth_zero, _doctor_leaf_prior_zero,
+     _doctor_leaf_prior_negative, _doctor_no_nodes],
+)
 def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
     dataset = toy_dataset(tmp_path, n=1, seed=9)
     dump_dir = tmp_path / "trees"
@@ -774,13 +818,13 @@ def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, d
     ) == EXIT_OK
     (snapshot,) = dump_dir.glob("*.tree.json")
     doc = json.loads(snapshot.read_text(encoding="utf-8"))
-    doctor(doc)
+    message = doctor(doc) or "malformed snapshot"
     snapshot.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["inspect", str(snapshot)]) == EXIT_DATASET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "input error: malformed snapshot" in captured.err
+    assert f"input error: {message}" in captured.err
 
 
 # A field of a dumped snapshot given a value of another JSON kind: (where,

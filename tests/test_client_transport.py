@@ -236,11 +236,17 @@ def test_replies_the_client_reads(scripted, reply, then):
         (_reply(VALUE, *[f"X-Pad-{i}: a" for i in range(_MAX_HEADERS)]), "keep", f"more than {_MAX_HEADERS} headers"),
         (_reply(b"", f"Content-Length: {_MAX_BODY + 1}", length=False), "hang", f"over {_MAX_BODY} bytes"),
         (_reply(b"", "Content-Length: 1" + "0" * 30, length=False), "hang", "malformed Content-Length"),
+        (_reply(b"%x\r\n" % (_MAX_BODY + 1), "Transfer-Encoding: chunked", length=False), "hang",
+         f"over {_MAX_BODY} bytes"),
+        (_reply(b"x" * (_MAX_BODY + 1), length=False), "close", f"over {_MAX_BODY} bytes"),
+        (_reply(b"5\r\nabcdeXY\r\n0\r\n\r\n", "Transfer-Encoding: chunked", length=False), "keep",
+         "chunk data not followed by a line end"),
     ],
     ids=["unknown-encoding", "not-gzip", "gzip-cut-short", "unknown-transfer-encoding", "bad-chunk-size",
          "cut-in-body", "cut-in-head", "no-reply", "status-without-code", "http-2", "not-http",
          "header-without-colon", "conflicting-lengths", "header-line-too-long", "too-many-headers",
-         "body-too-large", "length-too-long"],
+         "body-too-large", "length-too-long", "chunked-body-too-large", "to-eof-body-too-large",
+         "chunk-without-line-end"],
 )
 def test_replies_the_client_refuses(scripted, reply, then, error):
     # The timeout is far above the test's run time: a refusal that waited
@@ -269,11 +275,13 @@ def test_a_read_timeout_is_retried_then_a_transport_error(scripted, sleeps):
 
 
 def test_a_200_reply_that_is_not_json_fails_without_a_retry(scripted, sleeps):
-    server = scripted([(_reply(b"<html>oops</html>", "Content-Type: text/html"), "keep")] * 3)
-    with pytest.raises(TransportError, match=r"/value reply is not JSON: b'<html>oops</html>'"):
-        RemoteBackend(server.url).predict_value(make_state())
-    assert len(server.requests) == 1
-    assert sleeps == []
+    # JSON nested too deep for the decoder is refused like any other
+    for body, shown in [(b"<html>oops</html>", "<html>oops</html>"), (b"[" * 100_000 + b"]" * 100_000, "[" * 199)]:
+        server = scripted([(_reply(body, "Content-Type: text/html"), "keep")] * 3)
+        with pytest.raises(TransportError, match=re.escape(f"/value reply is not JSON: b'{shown}")):
+            RemoteBackend(server.url).predict_value(make_state())
+        assert len(server.requests) == 1
+        assert sleeps == []
 
 
 def _has_ipv6_loopback():

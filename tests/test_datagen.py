@@ -17,7 +17,7 @@ from rsp.datagen import (
     manifest_path_for,
     select_for_round,
 )
-from rsp.mcts import EvaluationMode, SearchConfig, build_tree
+from rsp.mcts import EvaluationMode, SearchConfig, build_tree, snapshot_to_tree, tree_to_snapshot
 from rsp.toyenv import ToyBackend, generate_problem
 
 
@@ -101,6 +101,19 @@ def test_harvest_requires_gold_answers():
     config = SearchConfig(n_simulations=10, evaluation=EvaluationMode.MODEL_ONLY)
     tree = build_tree(problem.root_state(), None, backend, config)
     with pytest.raises(ContractViolation):
+        harvest_paths([tree])
+
+
+def test_harvest_refuses_an_answered_node_without_a_reward():
+    # A snapshot may hold "reward": null on an answered terminal; harvesting
+    # it names the node's depth instead of exporting a target of None.
+    _, trees = build_toy_trees(seeds=(0,))
+    doc = json.loads(json.dumps(tree_to_snapshot(trees[0])))
+    answered = [n for n in doc["nodes"] if n["step_kind"] == "a" and n["visits"] > 0]
+    assert answered
+    answered[0]["reward"] = None
+    tree = snapshot_to_tree(doc)
+    with pytest.raises(ContractViolation, match=f"depth {answered[0]['depth']} "):
         harvest_paths([tree])
 
 

@@ -3,12 +3,14 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
 from rsp.core import ContractViolation, Reward, StepKind, apply_step
-from rsp.inference import inference_search_config, q_sweep
+from rsp.datagen import harvest_paths
+from rsp.inference import decode_tree, inference_search_config, q_sweep
 from rsp.mcts import (
     EvaluationMode,
     NodeStats,
@@ -28,7 +30,7 @@ from rsp.mcts import (
     snapshot_to_tree,
     tree_to_snapshot,
 )
-from rsp.policy import ProposalRequest
+from rsp.policy import PolicyValueBackend, Proposal, ProposalRequest, ValuePrediction
 from rsp.toyenv import (
     ActionKind,
     Mode,
@@ -514,6 +516,35 @@ def test_snapshot_round_trip_preserves_ranking_state():
     assert tree_to_snapshot(rebuilt) == doc
     assert rebuilt.simulations_run == tree.simulations_run
     assert rebuilt.gold_answer == tree.gold_answer
+
+
+class ChainBackend(PolicyValueBackend):
+    """One code step per state, and an answer step at ``answer_depth``."""
+
+    def __init__(self, answer_depth: int):
+        self.answer_depth = answer_depth
+
+    def propose_steps(self, request):
+        last = request.state.depth + 1 == self.answer_depth
+        return [Proposal(answer_step("7") if last else code_step())]
+
+    def predict_value(self, state):
+        return ValuePrediction(0.0)
+
+
+def test_a_tree_deeper_than_the_recursion_limit_snapshots_and_harvests():
+    depth = sys.getrecursionlimit() + 100
+    config = SearchConfig(n_simulations=depth + 100, expansion_width=1, max_depth=2 * depth)
+    tree = build_tree(make_state(), "7", ChainBackend(depth), config)
+    doc = tree_to_snapshot(tree)
+    assert [n["depth"] for n in doc["nodes"]] == list(range(depth + 1))
+    rebuilt = snapshot_to_tree(json.loads(json.dumps(doc)))
+    assert tree_to_snapshot(rebuilt) == doc
+    report = decode_tree(rebuilt)
+    assert report.steps_taken == depth and report.candidates_returned == 1
+    [path] = harvest_paths([rebuilt])
+    assert len(path.steps) == len(path.per_step_targets) == depth
+    assert path.correct and path.per_step_targets[-1] == 1.0
 
 
 def test_snapshot_config_keys_are_in_a_fixed_order():

@@ -410,6 +410,7 @@ def test_malformed_requests_are_client_errors():
         ("/propose", b'{"state": "q"}'),
         ("/propose", b'{"state": "q", "n_samples": "many", "temperature": 1.0}'),
         ("/propose", b'{"state": "q", "n_samples": 0, "temperature": 1.0}'),
+        ("/value", b"[" * 100_000 + b"]" * 100_000),  # deeper than the JSON decoder recurses
     ]
     server = serve_backend(ScriptedBackend({}), _counting_decoder([]))
     try:
@@ -464,6 +465,25 @@ def test_mistyped_propose_fields_are_client_errors(toy_served, field, raw):
         response = session.post(f"{remote.base_url}/propose", data=body, timeout=10)
         assert response.status_code == 400, response.text
         assert field in response.json()["error"]
+
+
+@pytest.mark.parametrize(
+    "step, error",
+    [
+        (None, "rendered state lacks a question id"),
+        (code_step("work"), "step text does not name an operation"),
+        (code_step("Apply juggle."), "unknown opening operation 'juggle'"),
+    ],
+    ids=["no-question-id", "step-without-operation", "unknown-opening-operation"],
+)
+def test_a_state_the_toy_cannot_read_is_a_client_error(toy_served, step, error):
+    problem, _, remote = toy_served
+    state = "what?" if step is None else apply_step(problem.root_state(), step).render()
+    body = json.dumps({"state": state, "n_samples": 2, "temperature": 1.0}).encode()
+    with requests.Session() as session:
+        response = session.post(f"{remote.base_url}/propose", data=body, timeout=10)
+    assert response.status_code == 400, response.text
+    assert error in response.json()["error"]
 
 
 @pytest.mark.parametrize("path", ["/propose", "/value"])

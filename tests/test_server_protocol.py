@@ -245,6 +245,14 @@ def test_pipelined_requests_are_answered_in_order_on_one_connection(served):
     assert len(json.loads(replies[1][2])["proposals"]) == 2
 
 
+def test_a_request_cut_off_inside_its_headers_gets_no_reply_and_is_closed(served):
+    server, _ = served
+    with Connection(server) as connection:
+        connection.send(b"POST /value HTTP/1.1\r\nContent-Le")
+        connection.sock.shutdown(socket.SHUT_WR)
+        assert connection.stream.read() == b""
+
+
 def test_a_request_sent_one_byte_at_a_time_is_served(served):
     server, expected = served
     with Connection(server) as connection:
