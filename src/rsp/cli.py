@@ -38,7 +38,7 @@ from .mcts import (
     SearchConfig,
     SnapshotError,
     build_tree,
-    iter_paths,
+    iter_nodes,
     snapshot_to_tree,
     tree_to_snapshot,
 )
@@ -413,7 +413,7 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
         raise SnapshotError(f"snapshot {snapshot_path} is not valid JSON: {exc}")
     tree = snapshot_to_tree(doc)
 
-    nodes = [path[-1] for path in iter_paths(tree.root)]
+    nodes = list(iter_nodes(tree.root))
     by_depth: dict[int, int] = {}
     for node in nodes:
         by_depth[node.depth] = by_depth.get(node.depth, 0) + 1

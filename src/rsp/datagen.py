@@ -22,7 +22,7 @@ from .core import (
     Step,
     is_correct,
 )
-from .mcts import SearchTree, iter_paths, value_target
+from .mcts import SearchNode, SearchTree, iter_nodes, value_target
 
 
 class FilterLevel(Enum):
@@ -63,43 +63,47 @@ class SolutionPath:
 
 def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
     """One SolutionPath per visited, answered terminal node of each tree, in
-    preorder.
+    preorder, labeled correct/incorrect against the tree's gold answer.
 
-    Paths are labeled correct/incorrect against the tree's gold answer. Each
-    step's target is its node's ``value_target``; a step without one (say an
-    answered node without a reward, loaded from a snapshot) is a
-    ContractViolation. Terminal nodes that never answered (depth cutoffs,
-    dead ends) carry no predicted answer and are not harvested.
+    Each step's target is its node's ``value_target``; a step without one
+    (an answered node without a reward, say) is a ContractViolation.
+    Terminal nodes that never answered (depth cutoffs, dead ends) carry no
+    predicted answer and are not harvested.
     """
     paths: list[SolutionPath] = []
     for tree_id, tree in enumerate(trees):
         if tree.gold_answer is None:
             raise ContractViolation("cannot harvest a tree built without a gold answer")
         index = 0
-        for lineage in iter_paths(tree.root):
-            node = lineage[-1]
-            if not (node.terminal and node.stats.visits > 0 and node.state.has_answer):
-                continue
-            targets = tuple(map(value_target, lineage[1:]))
-            if None in targets:
-                depth = lineage[1 + targets.index(None)].depth
-                raise ContractViolation(f"the node at depth {depth} on an answered path has no value target")
-            steps = tuple(n.step for n in lineage[1:])
-            predicted = steps[-1].answer
-            paths.append(
-                SolutionPath(
-                    question_id=tree.question.question_id,
-                    question_text=tree.question.question_text,
-                    steps=steps,
-                    predicted_answer=predicted,
-                    correct=is_correct(predicted, tree.gold_answer),
-                    per_step_targets=targets,
-                    tree_id=tree_id,
-                    seed=tree.seed,
-                    path_index=index,
+        lineage: list[SearchNode] = []  # the nodes from the root down to the current one
+        for node in iter_nodes(tree.root):
+            del lineage[node.depth - tree.root.depth :]
+            lineage.append(node)
+            if (
+                node.terminal
+                and node.stats.visits > 0
+                and node.state.has_answer
+            ):
+                targets = tuple(map(value_target, lineage[1:]))
+                if None in targets:
+                    depth = lineage[1 + targets.index(None)].depth
+                    raise ContractViolation(f"the node at depth {depth} on an answered path has no value target")
+                steps = tuple(n.step for n in lineage if n.step is not None)
+                predicted = steps[-1].answer
+                paths.append(
+                    SolutionPath(
+                        question_id=tree.question.question_id,
+                        question_text=tree.question.question_text,
+                        steps=steps,
+                        predicted_answer=predicted,
+                        correct=is_correct(predicted, tree.gold_answer),
+                        per_step_targets=targets,
+                        tree_id=tree_id,
+                        seed=tree.seed,
+                        path_index=index,
+                    )
                 )
-            )
-            index += 1
+                index += 1
     return paths
 
 

@@ -29,7 +29,7 @@ from .mcts import (
     SearchNode,
     SearchTree,
     build_tree,
-    iter_paths,
+    iter_nodes,
     propose_children,
     sample_path,
 )
@@ -214,7 +214,7 @@ def inference_search_config(**overrides) -> SearchConfig:
 
 
 def count_terminal_nodes(tree: SearchTree) -> int:
-    return sum(1 for path in iter_paths(tree.root) if path[-1].terminal)
+    return sum(1 for node in iter_nodes(tree.root) if node.terminal)
 
 
 def decode_tree(tree: SearchTree, beam_width: int = 1, started: float | None = None) -> InferenceReport:

@@ -359,36 +359,34 @@ def mc_rollout_estimate(
     return total / n_rollouts
 
 
-def iter_paths(root: SearchNode) -> Iterator[tuple[SearchNode, ...]]:
-    """The root-to-node path of every node under ``root``, in preorder: a
-    node comes before its children, and children come in order. The walk
-    keeps its own stack, so a tree of any depth is walked."""
-    stack = [(root,)]
+def iter_nodes(root: SearchNode) -> Iterator[SearchNode]:
+    """Every node of the subtree under ``root``, in preorder: a node comes
+    before its children, and children come in order. The walk keeps its own
+    stack, so a tree of any depth is walked."""
+    stack = [root]
     while stack:
-        path = stack.pop()
-        yield path
-        for child in reversed(path[-1].children):
-            stack.append(path + (child,))
+        node = stack.pop()
+        stack.extend(node.children[::-1])
+        yield node
 
 
 def value_target(node: SearchNode) -> float | None:
     """The value-regression target of the edge into ``node``: a visited
     terminal's reward, or a visited non-terminal's edge average. None for an
     unvisited node or a terminal without a recorded reward."""
-    stats = node.stats
-    if not stats.visits:
+    if not node.stats.visits:
         return None
     if node.terminal:
         return None if node.reward is None else node.reward.value
-    return stats.total_value / stats.visits
+    return node.stats.q()
 
 
 def q_targets(tree: SearchTree) -> dict[SearchNode, float]:
     """The ``value_target`` of every non-root node that has one, in preorder."""
     return {
-        path[-1]: target
-        for path in iter_paths(tree.root)
-        if len(path) > 1 and (target := value_target(path[-1])) is not None
+        node: target
+        for node in iter_nodes(tree.root)
+        if node is not tree.root and (target := value_target(node)) is not None
     }
 
 
@@ -404,22 +402,21 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
             f"{tree.root.state.depth} step(s); snapshot a tree built from a question"
         )
     nodes: list[dict] = []
-    ids: dict[SearchNode, int] = {}
-    for path in iter_paths(tree.root):
-        node = path[-1]
-        stats, step = node.stats, node.step
-        ids[node] = len(nodes)
+    lineage: list[int] = []  # the ids from the root (depth 0) down to the current node
+    for node in iter_nodes(tree.root):
+        del lineage[node.depth :]
+        lineage.append(len(nodes))
         nodes.append(
             {
-                "id": ids[node],
-                "parent_id": ids[path[-2]] if len(path) > 1 else None,
-                "step_kind": step.kind.value if step else None,
-                "step_text": step.text if step else None,
-                "prior": stats.prior,
-                "visits": stats.visits,
-                "total_value": stats.total_value,
-                "q": stats.total_value / stats.visits if stats.visits else None,
-                "model_value": stats.model_value,
+                "id": lineage[-1],
+                "parent_id": lineage[-2] if node.depth else None,
+                "step_kind": node.step.kind.value if node.step else None,
+                "step_text": node.step.text if node.step else None,
+                "prior": node.stats.prior,
+                "visits": node.stats.visits,
+                "total_value": node.stats.total_value,
+                "q": node.stats.q(tree.config.q_init) if node.stats.visits else None,
+                "model_value": node.stats.model_value,
                 "terminal": node.terminal,
                 "reward": node.reward.value if node.reward else None,
                 "depth": node.depth,
@@ -513,7 +510,10 @@ def snapshot_to_tree(doc) -> SearchTree:
                     f"node {node_id} has q {entry['q']}, not total value / visits"
                 )
             stats = NodeStats(  # checks the prior's range before log_prior reads it
-                prior=entry["prior"], visits=visits, total_value=total_value, model_value=entry["model_value"]
+                prior=entry["prior"],
+                visits=visits,
+                total_value=total_value,
+                model_value=entry["model_value"],
             )
             if entry["step_text"] is None:
                 if parent is not None:
@@ -523,7 +523,11 @@ def snapshot_to_tree(doc) -> SearchTree:
             else:
                 if parent is None:
                     raise SnapshotError("non-root node without a parent")
-                step = Step.from_text(entry["step_text"], log_prior(stats.prior), StepKind(entry["step_kind"]))
+                step = Step.from_text(
+                    entry["step_text"],
+                    log_prior(entry["prior"]),
+                    StepKind(entry["step_kind"]),
+                )
                 state = apply_step(parent.state, step, config.max_depth)
             if entry["depth"] != state.depth:
                 raise SnapshotError(

@@ -238,7 +238,7 @@ def test_replies_the_client_reads(scripted, reply, then):
         (_reply(b"", "Content-Length: 1" + "0" * 30, length=False), "hang", "malformed Content-Length"),
         (_reply(b"%x\r\n" % (_MAX_BODY + 1), "Transfer-Encoding: chunked", length=False), "hang",
          f"over {_MAX_BODY} bytes"),
-        (_reply(b"x" * (_MAX_BODY + 1), length=False), "close", f"over {_MAX_BODY} bytes"),
+        (lambda: _reply(b"x" * (_MAX_BODY + 1), length=False), "close", f"over {_MAX_BODY} bytes"),
         (_reply(b"5\r\nabcdeXY\r\n0\r\n\r\n", "Transfer-Encoding: chunked", length=False), "keep",
          "chunk data not followed by a line end"),
     ],
@@ -251,7 +251,8 @@ def test_replies_the_client_reads(scripted, reply, then):
 def test_replies_the_client_refuses(scripted, reply, then, error):
     # The timeout is far above the test's run time: a refusal that waited
     # for more bytes would fail with a timeout, not the error named here.
-    server = scripted([(reply, then)])
+    # A callable reply is built only when its case runs (the 16 MiB body).
+    server = scripted([(reply() if callable(reply) else reply, then)])
     with pytest.raises(TransportError, match="failed after 1 attempts") as failure:
         RemoteBackend(server.url, timeout=30, max_attempts=1).predict_value(make_state())
     assert isinstance(failure.value.__cause__, requests.ConnectionError)
@@ -276,7 +277,11 @@ def test_a_read_timeout_is_retried_then_a_transport_error(scripted, sleeps):
 
 def test_a_200_reply_that_is_not_json_fails_without_a_retry(scripted, sleeps):
     # JSON nested too deep for the decoder is refused like any other
-    for body, shown in [(b"<html>oops</html>", "<html>oops</html>"), (b"[" * 100_000 + b"]" * 100_000, "[" * 199)]:
+    # (the message shows the body's first 200 bytes)
+    for body, shown in [
+        (b"<html>oops</html>", "<html>oops</html>'"),
+        (b"[" * 100_000 + b"]" * 100_000, "[" * 200 + "'"),
+    ]:
         server = scripted([(_reply(body, "Content-Type: text/html"), "keep")] * 3)
         with pytest.raises(TransportError, match=re.escape(f"/value reply is not JSON: b'{shown}")):
             RemoteBackend(server.url).predict_value(make_state())
