@@ -313,6 +313,18 @@ def is_terminal(state: ReasoningState, max_depth: int = DEFAULT_MAX_DEPTH) -> bo
     return state.has_answer or state.depth >= max_depth
 
 
+_WIN, _LOSS = Reward(1.0), Reward(-1.0)  # frozen, so shared: grading a path builds none
+
+
+def path_reward(state: ReasoningState, gold: Answer | None) -> Reward | None:
+    """The outcome reward of a finished path: +1 for an answer equivalent to
+    ``gold``, -1 for any other answer and for none (a dead end or the depth
+    budget), None for an answer when no gold answer is known."""
+    if gold is None and state.has_answer:
+        return None
+    return _WIN if is_correct(state.answer, gold) else _LOSS
+
+
 def apply_step(
     state: ReasoningState, step: Step, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> ReasoningState:

@@ -63,7 +63,7 @@ class SolutionPath:
 
 def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
     """One SolutionPath per visited, answered terminal node of each tree, in
-    preorder, labeled correct/incorrect against the tree's gold answer.
+    preorder, labeled correct when its node's reward (``path_reward``) is +1.
 
     Each step's target is its node's ``value_target``; a step without one
     (an answered node without a reward, say) is a ContractViolation.
@@ -96,7 +96,7 @@ def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
                         question_text=tree.question.question_text,
                         steps=steps,
                         predicted_answer=predicted,
-                        correct=is_correct(predicted, tree.gold_answer),
+                        correct=node.reward.value > 0,
                         per_step_targets=targets,
                         tree_id=tree_id,
                         seed=tree.seed,

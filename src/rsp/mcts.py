@@ -26,11 +26,11 @@ from .core import (
     StepKind,
     apply_step,
     as_answer,
-    is_correct,
     is_terminal,
     json_field,
     log_prior,
     normalize_answer,
+    path_reward,
 )
 from .policy import PolicyValueBackend, Proposal, ProposalRequest
 
@@ -180,12 +180,11 @@ def propose_children(
 def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> list[SearchNode]:
     """Create children for a non-terminal leaf from ``propose_children``.
 
-    Terminal children are flagged at creation: an answer step ends the path
-    (reward from gold-answer correctness when a gold answer is known), and a
-    child at the depth budget without an answer terminates with reward -1.
-    A backend returning no proposals turns the leaf itself into a terminal
-    dead end with reward -1. A value the backend attaches to a proposal
-    becomes the child's stored model value.
+    A child that answers or reaches the depth budget is terminal at creation,
+    and a backend returning no proposals turns the leaf itself into a
+    terminal dead end; each gets its ``path_reward`` against the tree's gold
+    answer. A value the backend attaches to a proposal becomes the child's
+    stored model value.
     """
     if leaf.terminal:
         raise ContractViolation("cannot expand a terminal node")
@@ -197,23 +196,17 @@ def expand(tree: SearchTree, leaf: SearchNode, backend: PolicyValueBackend) -> l
     )
     if not children:
         leaf.terminal = True
-        leaf.reward = Reward(-1.0)
+        leaf.reward = path_reward(leaf.state, tree.gold_answer)
         return []
     for proposal, child_state, terminal in children:
         step = proposal.step
-        reward: Reward | None = None
-        if step.kind is StepKind.ANSWER:
-            if tree.gold_answer is not None:
-                reward = Reward(1.0 if is_correct(step.answer, tree.gold_answer) else -1.0)
-        elif terminal:
-            reward = Reward(-1.0)
         child = SearchNode(
             state=child_state,
             stats=NodeStats(prior=step.prior, model_value=proposal.value),
             step=step,
             depth=child_state.depth,
             terminal=terminal,
-            reward=reward,
+            reward=path_reward(child_state, tree.gold_answer) if terminal else None,
             exhausted=terminal,
         )
         leaf.children.append(child)
@@ -343,11 +336,8 @@ def mc_rollout_estimate(
     seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> float:
-    """Average terminal reward over independent base-policy rollouts.
-
-    Each rollout samples a path at temperature 1; a correct answer scores
-    1, anything else (a wrong answer, a dead end, the depth budget) -1.
-    """
+    """Average terminal reward over independent base-policy rollouts: each
+    rollout samples a path at temperature 1 and scores its ``path_reward``."""
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
     gold = as_answer(gold_answer)
@@ -355,7 +345,7 @@ def mc_rollout_estimate(
     total = 0.0
     for _ in range(n_rollouts):
         final = sample_path(state, backend, 1.0, max_depth, rng)
-        total += 1.0 if is_correct(final.answer, gold) else -1.0
+        total += path_reward(final, gold).value
     return total / n_rollouts
 
 
@@ -458,15 +448,19 @@ def snapshot_to_tree(doc) -> SearchTree:
     Generation metadata that the snapshot does not carry (code outputs,
     error flags) is not restored; ranking state (visits, totals, rewards,
     terminal flags, child order) is. A document that is not a JSON object,
-    a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a second
-    root, a repeated node id, a parent that is not an earlier node, a
-    non-root node without a step, negative visits, ``|total_value| >
-    visits``, a depth other than its path's step count (0 at the root) or
-    a ``q`` other than ``total_value / visits`` (null at zero visits) is a
-    SnapshotError, and so is any EngineError raised while rebuilding (a
-    config the search refuses, a step text that is not a step, a node under
-    an answered node or past the config's ``max_depth``, which
-    ``apply_step`` refuses).
+    a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
+    negative ``simulations_run`` or ``total_backups``, a second root, a
+    repeated node id, a parent that is not an earlier node, a non-root node
+    without a step, negative visits, ``|total_value| > visits``, a
+    ``model_value`` outside [-1, 1], a depth other than its path's step
+    count (0 at the root) or a ``q`` other than ``total_value / visits``
+    (null at zero visits) is a SnapshotError. So is a node that breaks the
+    rules ``expand`` keeps: a node that answers or sits at the config's
+    ``max_depth`` is terminal, any other terminal node is a dead end with
+    no children, a non-terminal node has no reward, and a terminal node's
+    reward, when one is stored, is its ``path_reward``. So, too, is any
+    EngineError raised while rebuilding (a config the search refuses, a
+    step text that is not a step).
     """
     try:
         schema = json_field(doc, "schema", (str,), None)
@@ -475,6 +469,10 @@ def snapshot_to_tree(doc) -> SearchTree:
                 f"unsupported snapshot schema {schema!r}; this build reads {SNAPSHOT_SCHEMA!r}"
             )
         fields = _read_fields(doc, _DOC_FIELDS)
+        for key in ("simulations_run", "total_backups"):
+            if fields[key] < 0:
+                raise SnapshotError(f"{key} is {fields[key]}; a count is >= 0")
+        gold = None if fields["gold_answer"] is None else normalize_answer(fields["gold_answer"])
         config_fields = _read_fields(fields["config"], _CONFIG_FIELDS)
         config_fields["evaluation"] = EvaluationMode(config_fields["evaluation"])
         config = SearchConfig(**config_fields)
@@ -505,6 +503,8 @@ def snapshot_to_tree(doc) -> SearchTree:
                     f"node {node_id} has visits {visits} and total value "
                     f"{total_value}; values lie in [-1, 1]"
                 )
+            if entry["model_value"] is not None and abs(entry["model_value"]) > 1.0:
+                raise SnapshotError(f"node {node_id} has model value {entry['model_value']}; values lie in [-1, 1]")
             if entry["q"] != (total_value / visits if visits else None):
                 raise SnapshotError(
                     f"node {node_id} has q {entry['q']}, not total value / visits"
@@ -523,6 +523,8 @@ def snapshot_to_tree(doc) -> SearchTree:
             else:
                 if parent is None:
                     raise SnapshotError("non-root node without a parent")
+                if parent.terminal:
+                    raise SnapshotError(f"node {node_id} sits under terminal node {parent_id}")
                 step = Step.from_text(
                     entry["step_text"],
                     log_prior(entry["prior"]),
@@ -534,13 +536,21 @@ def snapshot_to_tree(doc) -> SearchTree:
                     f"node {node_id} has depth {entry['depth']}, but its path "
                     f"from the question has {state.depth} step(s)"
                 )
+            terminal, stored = entry["terminal"], entry["reward"]
+            if not terminal and is_terminal(state, config.max_depth):
+                where = "answers" if state.has_answer else f"is at the depth budget {config.max_depth}"
+                raise SnapshotError(f"node {node_id} {where} but is not terminal")
+            reward = path_reward(state, gold) if terminal else None
+            if stored is not None and (reward is None or stored != reward.value):
+                expected = "no reward" if reward is None else f"reward {reward.value}"
+                raise SnapshotError(f"node {node_id} has reward {stored}, but its path has {expected}")
             node = SearchNode(
                 state=state,
                 stats=stats,
                 step=step,
                 depth=entry["depth"],
-                terminal=entry["terminal"],
-                reward=Reward(entry["reward"]) if entry["reward"] is not None else None,
+                terminal=terminal,
+                reward=None if stored is None else reward,
             )
             by_id[node_id] = node
             if parent is None:
@@ -553,13 +563,12 @@ def snapshot_to_tree(doc) -> SearchTree:
         raise
     except (ValueError, OverflowError, EngineError) as exc:  # OverflowError: visits past float range
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
-    gold = fields["gold_answer"]
     return SearchTree(
         root=root,
         question=question,
         config=config,
         seed=fields["seed"],
-        gold_answer=normalize_answer(gold) if gold is not None else None,
+        gold_answer=gold,
         simulations_run=fields["simulations_run"],
         total_backups=fields["total_backups"],
     )

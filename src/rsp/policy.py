@@ -77,10 +77,16 @@ class ProposalRequest:
 @dataclass(frozen=True)
 class Proposal:
     """A proposed next step; ``value``, when a backend attaches one, is the
-    value of the requesting state plus this step."""
+    value of the requesting state plus this step, and lies in [-1, 1] like
+    a ``ValuePrediction`` (anything else, NaN included, is a
+    ContractViolation)."""
 
     step: Step
     value: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.value is not None and not -1.0 <= self.value <= 1.0:
+            raise ContractViolation(f"attached value must lie in [-1, 1], not {self.value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rsp.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATASET, EXIT_OK, MAX_WIDTH, build_parser, main
-from rsp.core import ReasoningState, derive_seed
+from rsp.core import ReasoningState, derive_seed, render_answer_step
 from rsp.datagen import manifest_path_for
 from rsp.inference import greedy_decode, inference_search_config, majority_vote, mcts_decode, sbs_decode
 from rsp.mcts import build_tree, tree_to_snapshot
@@ -803,12 +803,43 @@ def _doctor_no_nodes(doc):
     return "snapshot has no root node"
 
 
+def _doctor_reward_without_gold(doc):
+    # an inference tree has no gold answer, so an answer in it has no reward
+    assert doc["gold_answer"] is None
+    leaf = doc["nodes"][-1]
+    leaf.update(step_kind="a", step_text=render_answer_step("done", " 1"), terminal=True, reward=1.0)
+    return f"node {leaf['id']} has reward 1.0, but its path has no reward"
+
+
+def _doctor_answer_not_terminal(doc):
+    leaf = doc["nodes"][-1]
+    leaf.update(step_kind="a", step_text=render_answer_step("done", " 1"), terminal=False)
+    return f"node {leaf['id']} answers but is not terminal"
+
+
+def _doctor_leaf_model_value(doc):
+    doc["nodes"][-1]["model_value"] = 5.0
+    return f"node {doc['nodes'][-1]['id']} has model value 5.0; values lie in [-1, 1]"
+
+
+def _doctor_negative_simulations_run(doc):
+    doc["simulations_run"] = -3
+    return "simulations_run is -3; a count is >= 0"
+
+
+def _doctor_negative_total_backups(doc):
+    doc["total_backups"] = -9
+    return "total_backups is -9; a count is >= 0"
+
+
 # Each doctor breaks a dumped snapshot and may return the message expected
 # after "input error: "; without one, any malformed-snapshot message will do.
 @pytest.mark.parametrize(
     "doctor",
     [_doctor_c_puct, _doctor_step_text, _doctor_max_depth_zero, _doctor_leaf_prior_zero,
-     _doctor_leaf_prior_negative, _doctor_no_nodes],
+     _doctor_leaf_prior_negative, _doctor_no_nodes, _doctor_reward_without_gold,
+     _doctor_answer_not_terminal, _doctor_leaf_model_value, _doctor_negative_simulations_run,
+     _doctor_negative_total_backups],
 )
 def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
     dataset = toy_dataset(tmp_path, n=1, seed=9)

@@ -19,6 +19,7 @@ from rsp.core import (
     json_field,
     log_prior,
     normalize_answer,
+    path_reward,
     render_answer_step,
     render_code_step,
 )
@@ -186,6 +187,31 @@ def test_is_correct_normalizes_raw_strings_only():
     assert not is_correct(None, "50")
     # an Answer is taken as it is, not normalized again
     assert not is_correct(Answer(raw="X", normalized="X"), "x")
+
+
+# (steps, max_depth, gold, reward): the rule every finished path is graded by
+_PATH_REWARDS = {
+    "right answer": ((answer_step("50"),), 8, "50", 1.0),
+    "equivalent answer": ((code_step(), answer_step("0.5")), 8, "1/2", 1.0),
+    "wrong answer": ((answer_step("51"),), 8, "50", -1.0),
+    "answer, gold unknown": ((answer_step("50"),), 8, None, None),
+    "answer at the depth budget": ((code_step(), answer_step("50")), 2, "50", 1.0),
+    "depth budget": ((code_step(), code_step()), 2, "50", -1.0),
+    "depth budget, gold unknown": ((code_step(), code_step()), 2, None, -1.0),
+    "dead end at the question": ((), 8, "50", -1.0),
+    "dead end, gold unknown": ((code_step(),), 8, None, -1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "steps, max_depth, gold, expected", _PATH_REWARDS.values(), ids=_PATH_REWARDS.keys()
+)
+def test_path_reward_truth_table(steps, max_depth, gold, expected):
+    state = make_state(steps=steps)
+    # every case is a finished path: it answers, sits at the budget or dead-ends
+    assert is_terminal(state, max_depth) == (state.has_answer or len(steps) == max_depth)
+    reward = path_reward(state, None if gold is None else normalize_answer(gold))
+    assert (None if reward is None else reward.value) == expected
 
 
 def test_reward_values():

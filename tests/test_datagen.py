@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import answer_step, code_step
-from rsp.core import ContractViolation, normalize_answer
+from rsp.core import ContractViolation, is_correct, normalize_answer
 from rsp.datagen import (
     FilterLevel,
     SolutionPath,
@@ -17,8 +17,15 @@ from rsp.datagen import (
     manifest_path_for,
     select_for_round,
 )
-from rsp.mcts import EvaluationMode, SearchConfig, build_tree, snapshot_to_tree, tree_to_snapshot
-from rsp.toyenv import ToyBackend, generate_problem
+from rsp.mcts import (
+    EvaluationMode,
+    SearchConfig,
+    SnapshotError,
+    build_tree,
+    snapshot_to_tree,
+    tree_to_snapshot,
+)
+from rsp.toyenv import ToyBackend, generate_problem, toy_corpus
 
 
 def labeled_path(
@@ -115,6 +122,35 @@ def test_harvest_refuses_an_answered_node_without_a_reward():
     tree = snapshot_to_tree(doc)
     with pytest.raises(ContractViolation, match=f"depth {answered[0]['depth']} "):
         harvest_paths([tree])
+
+
+def test_harvest_labels_agree_with_grading_each_answer():
+    # the label is the answered node's reward, graded once as the tree grew;
+    # on 300 toy trees it equals grading each path's answer afresh
+    labels = set()
+    for problem in toy_corpus(30, seed=7):
+        backend = ToyBackend.for_corpus([problem])
+        config = SearchConfig(n_simulations=20)
+        trees = [
+            build_tree(problem.root_state(), problem.gold_answer, backend, config, seed=s)
+            for s in range(10)
+        ]
+        for path in harvest_paths(trees):
+            assert path.correct == is_correct(path.predicted_answer, problem.gold_answer)
+            labels.add(path.correct)
+    assert labels == {True, False}
+
+
+def test_a_snapshot_whose_answers_are_not_terminal_is_refused_not_harvested_empty():
+    # such a document used to load, and harvest dropped every one of its paths
+    _, trees = build_toy_trees(seeds=(0,))
+    doc = json.loads(json.dumps(tree_to_snapshot(trees[0])))
+    assert len(harvest_paths([snapshot_to_tree(doc)])) == 6
+    for node in doc["nodes"]:
+        if node["step_kind"] == "a":
+            node.update(terminal=False, reward=None)
+    with pytest.raises(SnapshotError, match="answers but is not terminal"):
+        snapshot_to_tree(doc)
 
 
 def test_classify_rejects_paths_whose_code_never_ran():

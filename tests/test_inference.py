@@ -15,7 +15,7 @@ from rsp.inference import (
     sbs_decode,
     sbs_search,
 )
-from rsp.mcts import EvaluationMode, NodeStats, SearchConfig, SearchNode
+from rsp.mcts import EvaluationMode, NodeStats, SearchConfig, SearchNode, build_tree
 from rsp.policy import (
     DETERMINISTIC_TEMPERATURE,
     PolicyValueBackend,
@@ -112,6 +112,16 @@ def test_sbs_scores_attached_values_without_value_calls(beam_width):
     assert got == want
     assert asking.value_calls and attaching.value_calls == []
     assert attaching.propose_calls == asking.propose_calls
+
+
+def test_a_value_attached_outside_the_unit_interval_stops_the_search():
+    # sbs_search would rank on the value, and build_tree store it as a q
+    q, backend = two_level_script(attach_values=True)
+    backend.values = dict.fromkeys(backend.values, 5.0)
+    with pytest.raises(ContractViolation, match="attached value"):
+        sbs_search(q, backend, beam_width=1, expansion_width=2)
+    with pytest.raises(ContractViolation, match="attached value"):
+        build_tree(q, None, backend, inference_search_config(n_simulations=3), seed=0)
 
 
 def test_sbs_decode_returns_the_top_candidate():

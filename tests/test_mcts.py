@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, Reward, StepKind, apply_step
+from rsp.core import ContractViolation, Reward, StepKind, apply_step, render_answer_step
 from rsp.datagen import harvest_paths
 from rsp.inference import decode_tree, inference_search_config, q_sweep
 from rsp.mcts import (
@@ -22,6 +22,7 @@ from rsp.mcts import (
     build_tree,
     evaluate,
     expand,
+    iter_nodes,
     mc_rollout_estimate,
     puct_score,
     q_targets,
@@ -641,6 +642,46 @@ def _q_without_visits(nodes):
     nodes[-1].update(visits=0, total_value=0.0)
 
 
+def _answer_leaf(node, answer, terminal, reward):
+    # the tree these corrupt (gold answer 28) has no answered node, so
+    # these turn its last leaf into one
+    node.update(
+        step_kind="a",
+        step_text=render_answer_step("done", f" {answer}"),
+        terminal=terminal,
+        reward=reward,
+    )
+
+
+def _answer_not_terminal(nodes):
+    _answer_leaf(nodes[-1], "28", terminal=False, reward=None)
+
+
+def _answer_reward_flipped(nodes):
+    _answer_leaf(nodes[-1], "28", terminal=True, reward=-1.0)
+
+
+def _answer_reward_zero(nodes):
+    _answer_leaf(nodes[-1], "27", terminal=True, reward=0.0)
+
+
+def _child_under_a_terminal_node(nodes):
+    # the last leaf's parent, which has children, stored as a dead end
+    nodes[nodes[-1]["parent_id"]].update(terminal=True, reward=-1.0)
+
+
+def _reward_on_a_non_terminal_node(nodes):
+    nodes[-1]["reward"] = -1.0
+
+
+def _dead_end_that_wins(nodes):
+    nodes[-1].update(terminal=True, reward=1.0)
+
+
+def _model_value_out_of_range(nodes):
+    nodes[-1]["model_value"] = 5.0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -655,6 +696,13 @@ def _q_without_visits(nodes):
         _q_off_the_average,
         _q_null_after_visits,
         _q_without_visits,
+        _answer_not_terminal,
+        _answer_reward_flipped,
+        _answer_reward_zero,
+        _child_under_a_terminal_node,
+        _reward_on_a_non_terminal_node,
+        _dead_end_that_wins,
+        _model_value_out_of_range,
     ],
 )
 def test_snapshot_rejects_inconsistent_nodes(corrupt):
@@ -668,6 +716,28 @@ def test_snapshot_rejects_inconsistent_nodes(corrupt):
     corrupt(doc["nodes"])
     with pytest.raises(SnapshotError):
         snapshot_to_tree(doc)
+
+
+@pytest.mark.parametrize(
+    "answer, reward",
+    [("28", 1.0), ("28", None), ("27", -1.0), (None, -1.0), (None, None)],
+    ids=["right", "right-unrewarded", "wrong", "dead-end", "dead-end-unrewarded"],
+)
+def test_snapshot_loads_each_terminal_leaf_expand_could_make(answer, reward):
+    # the leaf counterparts of the corruptions above, which the loader takes
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    tree = build_tree(
+        problem.root_state(), problem.gold_answer, backend, SearchConfig(n_simulations=5), seed=5
+    )
+    doc = json.loads(json.dumps(tree_to_snapshot(tree)))
+    if answer is None:
+        doc["nodes"][-1].update(terminal=True, reward=reward)
+    else:
+        _answer_leaf(doc["nodes"][-1], answer, terminal=True, reward=reward)
+    leaf = list(iter_nodes(snapshot_to_tree(doc).root))[-1]
+    assert leaf.terminal and (leaf.reward is None if reward is None else leaf.reward.value == reward)
+    assert tree_to_snapshot(snapshot_to_tree(doc)) == doc
 
 
 def test_snapshot_rejects_nodes_past_the_config_depth_budget():

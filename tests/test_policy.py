@@ -31,6 +31,12 @@ def test_value_prediction_range():
         ValuePrediction(value=-1.5)
 
 
+@pytest.mark.parametrize("value", [5.0, -1.01, float("nan"), float("inf")])
+def test_proposal_refuses_an_attached_value_outside_the_unit_interval(value):
+    with pytest.raises(ContractViolation, match="attached value"):
+        Proposal(step=code_step(), value=value)
+
+
 def test_dedupe_proposals_merges_by_text_keeping_first():
     a = Proposal(step=code_step(analysis="same", mean_log_prob=-0.5))
     b = Proposal(step=code_step(analysis="same", mean_log_prob=-0.9))
