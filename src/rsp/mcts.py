@@ -451,7 +451,7 @@ def snapshot_to_tree(doc) -> SearchTree:
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
     negative ``simulations_run`` or ``total_backups``, a second root, a
     repeated node id, a parent that is not an earlier node, a non-root node
-    without a step, negative visits, ``|total_value| > visits``, a
+    without a step, a root with a step kind, negative visits, ``|total_value| > visits``, a
     ``model_value`` outside [-1, 1], a depth other than its path's step
     count (0 at the root) or a ``q`` other than ``total_value / visits``
     (null at zero visits) is a SnapshotError. So is a node that breaks the
@@ -518,6 +518,8 @@ def snapshot_to_tree(doc) -> SearchTree:
             if entry["step_text"] is None:
                 if parent is not None:
                     raise SnapshotError(f"non-root node {node_id} has no step")
+                if entry["step_kind"] is not None:
+                    raise SnapshotError(f"root node {node_id} has step kind {entry['step_kind']!r} but no step")
                 step = None
                 state = question
             else:

@@ -23,6 +23,7 @@ from urllib.parse import urlsplit
 from .core import (
     ContractViolation,
     EngineError,
+    MalformedStepError,
     ReasoningState,
     Step,
     StepKind,
@@ -154,7 +155,9 @@ def _step_from_wire(payload) -> Step:
     """A proposal as the client reads it: a JSON object whose ``kind`` is a
     step kind, ``text`` a string, ``mean_log_prob`` a finite number,
     ``contains_code`` and ``code_errored`` booleans when present and
-    ``code_output`` a string or null. Anything else is a TransportError."""
+    ``code_output`` a string or null. Anything else is a TransportError. A
+    proposal that reads but breaks a step's contract, an answer step
+    without a final answer included, is a ContractViolation."""
     # The answer is parsed from the text; a v1 payload's "answer" field is
     # not read, so it cannot disagree with the text.
     try:
@@ -168,6 +171,8 @@ def _step_from_wire(payload) -> Step:
         )
     except ValueError as exc:  # a field json_field refuses, or an unknown kind
         raise TransportError(f"malformed proposal: {exc}") from None
+    except MalformedStepError as exc:
+        raise ContractViolation(str(exc)) from None
 
 
 def _step_to_wire(step: Step) -> dict:
@@ -198,6 +203,27 @@ def _value_from_wire(raw) -> ValuePrediction:
     return ValuePrediction(value=float(raw))
 
 
+# json.dumps(..., allow_nan=False) builds an encoder like this on every call.
+_REQUEST_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _with_body(template: requests.PreparedRequest, blob: bytes) -> requests.PreparedRequest:
+    """A new request that is ``template`` with ``blob`` as its body: what
+    ``template.copy()`` then ``prepare_body(blob, None)`` make, for less.
+    requests stores headers as (name, value) pairs under lower-cased names,
+    and that store is copied whole rather than one header at a time. No
+    cookie jar is copied: a prepared request carries its cookies in its
+    headers. Whatever a ``send`` hook does to the request stays with it."""
+    request = type(template)()
+    request.method, request.url, request.hooks = template.method, template.url, template.hooks
+    kind = type(template.headers)
+    headers = request.headers = kind.__new__(kind)
+    headers._store = template.headers._store.copy()
+    headers["Content-Length"] = str(len(blob))
+    request.body = blob
+    return request
+
+
 class RemoteBackend(PolicyValueBackend):
     """Client for a model server speaking the JSON wire protocol.
 
@@ -221,17 +247,21 @@ class RemoteBackend(PolicyValueBackend):
     ``max_attempts`` times with exponential backoff. Each
     thread keeps one session, and so one persistent connection, and reads
     the environment's proxy, CA bundle and netrc settings when its session
-    is created. It also prepares one request per endpoint, once, and sends
-    each call through the session's adapter with only the body replaced:
-    redirects are not followed (a 3xx is fatal, like any other non-200 below
-    500) and no cookies are kept. A body holding a non-finite number is a
-    ContractViolation before anything is sent.
+    is created. It also prepares one request per endpoint, once, and one
+    timeout object; each call sends a new request made from the prepared
+    one, with its own copy of the headers and only the body replaced, so
+    what a ``send`` hook does to one request stays with it. Every call goes
+    through the session's adapter's ``send``: redirects are not followed (a
+    3xx is fatal, like any other non-200 below 500) and no cookies are kept.
+    A body holding a non-finite number is a ContractViolation before
+    anything is sent.
 
     For an ``http://`` base URL that no proxy applies to, that adapter is
-    ``rsp.transport.KeptAliveAdapter``: requests' own ``send`` over one
-    kept-alive socket that carries each request in one send and reads the
-    reply itself. An ``https://`` or proxied URL keeps requests' stock
-    adapter.
+    ``rsp.transport.KeptAliveAdapter``: requests' own ``send``, whose hooks
+    for the connection, certificate check, request path and reply are
+    replaced, over one kept-alive socket that carries each request in one
+    send and reads the reply itself. An ``https://`` or proxied URL keeps
+    requests' stock adapter.
 
     ``requests`` and ``rsp.transport`` are imported when the first client
     is built or its first session made, not with this module, so a process
@@ -292,6 +322,8 @@ class RemoteBackend(PolicyValueBackend):
                 session.headers["Accept-Encoding"] = ACCEPT_ENCODING
             local.adapter = session.get_adapter(self.base_url)
             local.session = session
+            # Built once: send() makes one from a number on every call.
+            local.timeout = requests.adapters.TimeoutSauce(connect=self.timeout, read=self.timeout)
             prepared = local.prepared = {}
         template = prepared.get(path)
         if template is None:
@@ -312,7 +344,7 @@ class RemoteBackend(PolicyValueBackend):
         import requests
 
         try:
-            blob = json.dumps(body, allow_nan=False).encode()
+            blob = _REQUEST_JSON.encode(body).encode()
         except ValueError:
             bad = ", ".join(
                 f"{key}={value!r}"
@@ -326,11 +358,9 @@ class RemoteBackend(PolicyValueBackend):
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 session, adapter, template = self._endpoint(path)
-                request = template.copy()
-                request.prepare_body(blob, None)
                 response = adapter.send(
-                    request,
-                    timeout=self.timeout,
+                    _with_body(template, blob),
+                    timeout=self._local.timeout,
                     verify=session.verify,
                     cert=session.cert,
                     proxies=session.proxies,
@@ -423,14 +453,19 @@ _HTTP_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
             414: "URI Too Long", 431: "Request Header Fields Too Large", 500: "Internal Server Error",
             501: "Not Implemented", 505: "HTTP Version Not Supported"}
+_CONFLICTING_LENGTHS = {"error": "conflicting Content-Length values"}
+_TOO_MANY_HEADERS = {"error": f"more than {_MAX_HEADERS} headers"}
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
-def _http_date() -> str:
-    """The current time as a Date header value, in English whatever the locale."""
-    t = time.gmtime()
-    return time.strftime(f"{_DAYS[t.tm_wday]}, %d {_MONTHS[t.tm_mon - 1]} %Y %H:%M:%S GMT", t)
+def _add_header(headers: dict[str, str], line: str) -> bool:
+    """Add one header line to ``headers``, its name lower-cased and the first
+    value of a repeated name kept; False when the line gives Content-Length
+    a second, different value."""
+    name, _, value = line.partition(":")
+    name, value = name.strip().lower(), value.strip()
+    return headers.setdefault(name, value) == value or name != "content-length"
 
 
 class _BackendRequestHandler(socketserver.StreamRequestHandler):
@@ -438,11 +473,14 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
     and for exposing the toy environment to external clients).
 
     A /propose body with ``"with_values": true`` is answered with a
-    ``values`` list as well: the backend's ``predict_value`` for the state
-    plus each proposed step, computed in the same request.
+    ``values`` list as well: for each proposal, the value the backend
+    attached to it, or else the backend's ``predict_value`` for the state
+    plus that step, computed in the same request.
 
-    The handler reads the request line and headers itself and writes each
-    reply, status line, headers and JSON body, in one send. Connections are
+    The handler reads the request line and headers itself, in one read
+    when the head is already whole in the buffer, and writes each reply,
+    status line, headers and JSON body, in one send, with the server's
+    Date value. Connections are
     kept alive between requests, and each request body is read in full
     before the reply, so the next request starts where this one ends. A
     request that breaks the protocol edges listed in the README is answered
@@ -458,14 +496,31 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         while self._serve_one():
             pass
 
+    def _buffered_head(self) -> tuple[bytes, list[str]] | None:
+        """The request line and header lines of a head that is already whole
+        in the read buffer, taken from it in one read, when every line of it
+        ends in CRLF and the request line is not empty; else None, and the
+        head is read line by line."""
+        data = self.rfile.peek()  # what is buffered, or one read from the socket
+        end = data.find(b"\r\n\r\n")
+        if end < 0 or data.startswith(b"\r\n") or data.count(b"\n", 0, end) != data.count(b"\r\n", 0, end):
+            return None
+        line, _, rest = self.rfile.read(end + 4)[:end].partition(b"\r\n")
+        # The request line keeps its CRLF, as readline gives it: a 400 quotes it.
+        return line + b"\r\n", rest.decode("latin-1").split("\r\n") if rest else []
+
     def _serve_one(self) -> bool:
         """Read one request and answer it; whether to read another."""
         self.keep_alive = False  # until the request has been read
-        line = self.rfile.readline(_MAX_LINE + 1)
-        if not line:
-            return False  # the client closed the connection
-        if len(line) > _MAX_LINE:
-            return self._reply(414, {"error": "request line too long"})
+        head = self._buffered_head()
+        if head is None:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if not line:
+                return False  # the client closed the connection
+            if len(line) > _MAX_LINE:
+                return self._reply(414, {"error": "request line too long"})
+        else:
+            line, lines = head
         words = line.split()
         version = _HTTP_VERSION.fullmatch(words[2]) if len(words) == 3 else None
         if version is None:
@@ -474,20 +529,25 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         if version >= (2, 0):
             return self._reply(505, {"error": "HTTP version not supported"})
         headers = self.headers = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = self.rfile.readline(_MAX_LINE + 1)
-            if len(line) > _MAX_LINE:
-                return self._reply(431, {"error": "header line too long"})
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name, value = name.strip().lower(), value.strip()
-            if headers.setdefault(name, value) != value and name == "content-length":
-                return self._reply(400, {"error": "conflicting Content-Length values"})
-        else:
-            return self._reply(431, {"error": f"more than {_MAX_HEADERS} headers"})
-        if not line:
-            return False  # cut off inside the headers
+        if head is None:
+            for _ in range(_MAX_HEADERS + 1):
+                line = self.rfile.readline(_MAX_LINE + 1)
+                if len(line) > _MAX_LINE:
+                    return self._reply(431, {"error": "header line too long"})
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                if not _add_header(headers, line.decode("latin-1")):
+                    return self._reply(400, _CONFLICTING_LENGTHS)
+            else:
+                return self._reply(431, _TOO_MANY_HEADERS)
+            if not line:
+                return False  # cut off inside the headers
+        else:  # the same checks in the same order, on lines already split
+            for line in lines[: _MAX_HEADERS + 1]:
+                if not _add_header(headers, line):
+                    return self._reply(400, _CONFLICTING_LENGTHS)
+            if len(lines) > _MAX_HEADERS:
+                return self._reply(431, _TOO_MANY_HEADERS)
         if "transfer-encoding" in headers:
             return self._reply(400, {"error": "Transfer-Encoding is not supported"})
         if words[0] != b"POST":
@@ -514,7 +574,7 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         blob = json.dumps(payload).encode()
         close = "" if self.keep_alive else "Connection: close\r\n"
         self.request.sendall(
-            f"HTTP/1.1 {code} {_REASONS[code]}\r\nDate: {_http_date()}\r\n"
+            f"HTTP/1.1 {code} {_REASONS[code]}\r\nDate: {self.server.http_date()}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(blob)}\r\n"
             f"{VERSION_HEADER}: {WIRE_VERSION}\r\n{close}\r\n".encode() + blob
         )
@@ -554,6 +614,8 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
                         backend.predict_value(
                             ReasoningState(state.question_id, state.question_text, state.steps + (p.step,))
                         ).value
+                        if p.value is None
+                        else p.value
                         for p in proposals
                     ]
             else:
@@ -576,7 +638,21 @@ class _BackendServer(socketserver.ThreadingTCPServer):
     def __init__(self, *args, **kwargs) -> None:
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        self._date = (None, "")  # (second, its Date value), the last formatted
         super().__init__(*args, **kwargs)
+
+    def http_date(self) -> str:
+        """The current time as a Date header value, in English whatever the
+        locale; formatted once per second of ``time.time()``. Threads that
+        race here at worst format one second twice."""
+        second = int(time.time())
+        date = self._date  # read once: another thread may replace it
+        if date[0] != second:
+            t = time.gmtime(second)
+            date = self._date = (
+                second, time.strftime(f"{_DAYS[t.tm_wday]}, %d {_MONTHS[t.tm_mon - 1]} %Y %H:%M:%S GMT", t)
+            )
+        return date[1]
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:

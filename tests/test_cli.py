@@ -822,6 +822,12 @@ def _doctor_leaf_model_value(doc):
     return f"node {doc['nodes'][-1]['id']} has model value 5.0; values lie in [-1, 1]"
 
 
+def _doctor_root_step_kind(doc):
+    # empty, so a check on the kind's truth rather than its presence would pass it
+    doc["nodes"][0]["step_kind"] = ""
+    return f"root node {doc['nodes'][0]['id']} has step kind '' but no step"
+
+
 def _doctor_negative_simulations_run(doc):
     doc["simulations_run"] = -3
     return "simulations_run is -3; a count is >= 0"
@@ -839,7 +845,7 @@ def _doctor_negative_total_backups(doc):
     [_doctor_c_puct, _doctor_step_text, _doctor_max_depth_zero, _doctor_leaf_prior_zero,
      _doctor_leaf_prior_negative, _doctor_no_nodes, _doctor_reward_without_gold,
      _doctor_answer_not_terminal, _doctor_leaf_model_value, _doctor_negative_simulations_run,
-     _doctor_negative_total_backups],
+     _doctor_negative_total_backups, _doctor_root_step_kind],
 )
 def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
     dataset = toy_dataset(tmp_path, n=1, seed=9)

@@ -682,6 +682,11 @@ def _model_value_out_of_range(nodes):
     nodes[-1]["model_value"] = 5.0
 
 
+def _root_with_a_step_kind(nodes):
+    # the root has no step, so it has no step kind either
+    nodes[0]["step_kind"] = "a"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -703,6 +708,7 @@ def _model_value_out_of_range(nodes):
         _reward_on_a_non_terminal_node,
         _dead_end_that_wins,
         _model_value_out_of_range,
+        _root_with_a_step_kind,
     ],
 )
 def test_snapshot_rejects_inconsistent_nodes(corrupt):

@@ -19,6 +19,7 @@ from rsp.mcts import SearchConfig, build_tree, mc_rollout_estimate
 from rsp.policy import (
     BACKEND_URL_ENV,
     SERVER_POLL_INTERVAL,
+    Proposal,
     ProposalRequest,
     RemoteBackend,
     TransportError,
@@ -640,6 +641,32 @@ def test_wire_version_mismatch_is_refused_without_retry(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_send_hook_that_changes_the_request_leaves_the_next_request_alone(monkeypatch, toy_served):
+    # each call sends a request of its own, so what a hook does to one
+    # (here, the version header a mismatch test rewrites) stays with it
+    problem, inner, remote = toy_served
+    send, seen = requests.adapters.HTTPAdapter.send, []
+
+    def rewriting(adapter, request, **kwargs):
+        seen.append((request, dict(request.headers), request.body))
+        request.headers[VERSION_HEADER] = "0"
+        request.headers["X-Added"] = "1"
+        del request.headers["Accept"]
+        return send(adapter, request, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(requests.adapters.HTTPAdapter, "send", rewriting)
+        for _ in range(2):
+            with pytest.raises(TransportError, match="400"):
+                remote.predict_value(problem.root_state())
+    (first, first_headers, first_body), (second, second_headers, second_body) = seen
+    assert first is not second
+    assert first_headers == second_headers and first_body == second_body
+    assert second_headers[VERSION_HEADER] == WIRE_VERSION
+    assert "Accept" in second_headers and "X-Added" not in second_headers
+    assert remote.predict_value(problem.root_state()) == inner.predict_value(problem.root_state())
+
+
 def _dead_proxy_env(monkeypatch, no_proxy=None):
     # A proxy on a port nothing listens on; lower-case names take precedence.
     for name in ("http_proxy", "HTTP_PROXY"):
@@ -848,6 +875,33 @@ def test_attached_values_equal_separate_value_answers(toy_served):
     # asked without values, the same proposals come back bare
     request = ProposalRequest(state=problem.root_state(), n_samples=5, temperature=1.0, seed=0)
     assert all(p.value is None for p in remote.propose_steps(request))
+
+
+class _AttachesToEveryOther(ScriptedBackend):
+    """Attaches values, then drops them from every second proposal."""
+
+    def propose_steps(self, request):
+        proposals = super().propose_steps(request)
+        return [Proposal(step=p.step) if i % 2 else p for i, p in enumerate(proposals)]
+
+
+@pytest.mark.parametrize("backend_type", [ScriptedBackend, _AttachesToEveryOther], ids=["all", "mixed"])
+def test_the_server_asks_predict_value_only_for_proposals_without_a_value(backend_type):
+    state = make_state()
+    steps = [code_step(analysis=a) for a in ("a", "b", "c")]
+    children = [state.render() + step.text for step in steps]
+    values = dict(zip(children, (0.5, -0.25, 0.75)))
+    backend = backend_type({state.render(): steps}, values, attach_values=True)
+    server = serve_backend(backend, _counting_decoder([]))
+    try:
+        remote = RemoteBackend(_url(server), backoff=0.01)
+        request = ProposalRequest(state=state, n_samples=3, temperature=1.0, seed=0, with_values=True)
+        proposals = remote.propose_steps(request)
+    finally:
+        stop_server(server)
+    assert [(p.step, p.value) for p in proposals] == [(s, values[c]) for s, c in zip(steps, children)]
+    # only the proposals that came back bare were valued one by one
+    assert backend.value_calls == ([] if backend_type is ScriptedBackend else [children[1]])
 
 
 def _wire_decode(name, state, backend, seed):

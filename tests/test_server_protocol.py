@@ -283,3 +283,20 @@ def test_every_reply_carries_the_protocol_headers(served, path, body, code):
     assert re.fullmatch(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", headers["date"])
     assert abs(parsedate_to_datetime(headers["date"]).timestamp() - time.time()) < 60
     json.loads(reply)
+
+
+def test_the_date_is_formatted_once_a_second_and_right_across_its_boundary(served, monkeypatch):
+    server, expected = served
+    now, formatted = [999_999_999.5], []
+    strftime = time.strftime
+    monkeypatch.setattr("rsp.policy.time.time", lambda: now[0])
+    monkeypatch.setattr("rsp.policy.time.strftime", lambda *a: formatted.append(a) or strftime(*a))
+    dates = []
+    with Connection(server) as connection:
+        for now[0] in (999_999_999.5, 999_999_999.999, 1_000_000_000.0, 1_000_000_000.75):
+            connection.send(post())
+            code, headers, body = connection.reply()
+            assert (code, json.loads(body)) == (200, expected)
+            dates.append(headers["date"])
+    assert dates == ["Sun, 09 Sep 2001 01:46:39 GMT"] * 2 + ["Sun, 09 Sep 2001 01:46:40 GMT"] * 2
+    assert len(formatted) == 2  # once for each second
