@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -59,25 +60,27 @@ def render_answer_step(analysis: str, answer: str) -> str:
     )
 
 
+_CODE_OUTPUT_RE = re.compile(r"</code>\n<p>\n(.*)\n</p>\n</step>\Z", re.S)
+_EXCEPTION_LINE_RE = re.compile(r"[\w.]*(?:Error|Exception)(?::|\Z)")
+
+
 @dataclass(frozen=True)
 class Step:
-    """One rendered reasoning step plus generation metadata.
+    """One rendered reasoning step plus its generation log-probability.
 
     ``mean_log_prob`` is the mean per-token log-probability the generator
     assigned to the step text; it must be <= 0 so that the derived prior
     exp(mean_log_prob) lands in (0, 1].
 
-    ``answer`` is derived: the final answer parsed from the text of an
-    answer step (MalformedStepError without the marker), None for a code
-    step. It is the only place a step's answer is parsed.
+    The rest is derived from the text, which is the whole step: ``answer``
+    at construction (an answer step's final answer, MalformedStepError
+    without the marker, None for a code step), and ``contains_code``,
+    ``code_output`` and ``code_errored`` on first read.
     """
 
     kind: StepKind
     text: str
     mean_log_prob: float
-    contains_code: bool = False
-    code_errored: bool = False
-    code_output: str | None = None
     answer: Answer | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,16 +92,30 @@ class Step:
             )
         if self.mean_log_prob > 0.0:
             raise ContractViolation("mean_log_prob must be <= 0")
-        answer = None
-        if self.kind is StepKind.ANSWER:
-            if self.contains_code:
-                raise ContractViolation("answer step cannot contain code")
-            answer = extract_answer_text(self.text)
+        answer = extract_answer_text(self.text) if self.kind is StepKind.ANSWER else None
         object.__setattr__(self, "answer", answer)
 
     @property
     def prior(self) -> float:
         return math.exp(self.mean_log_prob)
+
+    @cached_property
+    def contains_code(self) -> bool:
+        """A code step with a ``<code>`` block; an answer step never has one."""
+        return self.kind is StepKind.CODE and "<code>" in self.text
+
+    @cached_property
+    def code_output(self) -> str | None:
+        """The ``<p>`` block after ``</code>``, as ``render_code_step`` writes it, or None."""
+        match = self.contains_code and _CODE_OUTPUT_RE.search(self.text)
+        return match.group(1) if match else None
+
+    @cached_property
+    def code_errored(self) -> bool:
+        """The last line of the output names an exception, as Python prints
+        it: a name ending in Error or Exception, alone or before a colon."""
+        last_line = (self.code_output or "").rstrip().rpartition("\n")[2]
+        return bool(_EXCEPTION_LINE_RE.match(last_line))
 
     @classmethod
     def from_text(
@@ -107,35 +124,22 @@ class Step:
         """Parse one rendered step block; the single step-text codec.
 
         ``kind`` defaults to ANSWER when the text carries the final-answer
-        marker and CODE otherwise. Code steps get ``contains_code`` from
-        the presence of a code block. Execution metadata (``code_output``,
-        ``code_errored``) is not in the text and keeps its defaults.
+        marker and CODE otherwise; every other field but ``mean_log_prob``
+        is derived from the text.
         """
         if kind is None:
             kind = StepKind.ANSWER if FINAL_ANSWER_MARKER in text else StepKind.CODE
-        return cls(
-            kind=kind,
-            text=text,
-            mean_log_prob=mean_log_prob,
-            contains_code=kind is StepKind.CODE and "<code>" in text,
-        )
+        return cls(kind=kind, text=text, mean_log_prob=mean_log_prob)
 
     @classmethod
     def code_step(
-        cls,
-        analysis: str,
-        code: str,
-        output: str,
-        mean_log_prob: float,
-        errored: bool = False,
+        cls, analysis: str, code: str, output: str, mean_log_prob: float
     ) -> "Step":
+        """A step as ``render_code_step`` writes it; ``output`` decides ``code_errored``."""
         return cls(
             kind=StepKind.CODE,
             text=render_code_step(analysis, code, output),
             mean_log_prob=mean_log_prob,
-            contains_code=True,
-            code_errored=errored,
-            code_output=output,
         )
 
     @classmethod
@@ -225,7 +229,17 @@ def _strip_wrappers(text: str) -> str:
     return text
 
 
+# Fraction(text) builds 10**exponent, so a numeral whose exponent exceeds
+# this in magnitude (Python's own limit on the digits of an integer string)
+# is not numeric; it compares by its text.
+_MAX_EXPONENT = 4300
+
+
 def _parse_numeric(text: str) -> Fraction | float | None:
+    _, e, exponent = text.rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -242,8 +256,9 @@ def normalize_answer(raw: str) -> Answer:
 
     Strips surrounding whitespace, TeX math delimiters and trailing periods,
     lowercases the text, canonicalizes simple interval notation, and parses
-    a numeric form when one exists. Idempotent: normalizing the normalized
-    text yields the same result.
+    a numeric form when one exists (none past an exponent of 4,300 in
+    magnitude). Idempotent: normalizing the normalized text yields the same
+    result.
     """
     text = _strip_wrappers(raw).lower()
     interval = _INTERVAL_RE.match(text)

@@ -445,9 +445,9 @@ def _read_fields(record, table: dict) -> dict:
 def snapshot_to_tree(doc) -> SearchTree:
     """Rebuild a SearchTree from a snapshot document.
 
-    Generation metadata that the snapshot does not carry (code outputs,
-    error flags) is not restored; ranking state (visits, totals, rewards,
-    terminal flags, child order) is. A document that is not a JSON object,
+    Steps are parsed from their text, so the tree harvests and filters as
+    the built one did; ranking state (visits, totals, rewards, terminal
+    flags, child order) is restored too. A document that is not a JSON object,
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
     negative ``simulations_run`` or ``total_backups``, a second root, a
     repeated node id, a parent that is not an earlier node, a non-root node

@@ -158,17 +158,15 @@ def _step_from_wire(payload) -> Step:
     ``code_output`` a string or null. Anything else is a TransportError. A
     proposal that reads but breaks a step's contract, an answer step
     without a final answer included, is a ContractViolation."""
-    # The answer is parsed from the text; a v1 payload's "answer" field is
-    # not read, so it cannot disagree with the text.
+    # The answer and code fields are parsed from the text; a v1 payload's are
+    # not read (its code fields are kind-checked), so they cannot disagree.
     try:
-        return Step(
-            kind=StepKind(json_field(payload, "kind", (str,))),
-            text=json_field(payload, "text", (str,)),
-            mean_log_prob=float(json_field(payload, "mean_log_prob", (float,))),
-            contains_code=json_field(payload, "contains_code", (bool,), False),
-            code_errored=json_field(payload, "code_errored", (bool,), False),
-            code_output=json_field(payload, "code_output", (str, None), None),
-        )
+        kind = StepKind(json_field(payload, "kind", (str,)))
+        text = json_field(payload, "text", (str,))
+        mean_log_prob = float(json_field(payload, "mean_log_prob", (float,)))
+        for key, kinds in (("contains_code", (bool,)), ("code_errored", (bool,)), ("code_output", (str, None))):
+            json_field(payload, key, kinds, None)
+        return Step(kind=kind, text=text, mean_log_prob=mean_log_prob)
     except ValueError as exc:  # a field json_field refuses, or an unknown kind
         raise TransportError(f"malformed proposal: {exc}") from None
     except MalformedStepError as exc:

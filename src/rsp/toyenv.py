@@ -134,13 +134,11 @@ class ToyProblem:
                 if delta >= 0
                 else f"value = {action.value_before} - {-delta}"
             )
-            output = _ERROR_OUTPUT if action.errored else str(action.value_after)
             step = Step.code_step(
                 analysis=f"Apply {action.label}.",
                 code=f"{expr}\nprint(value)",
-                output=output,
+                output=_ERROR_OUTPUT if action.errored else str(action.value_after),
                 mean_log_prob=log_prob,
-                errored=action.errored,
             )
         proposal = self._proposal_cache[key] = Proposal(step=step)
         return proposal
@@ -541,9 +539,9 @@ def toy_state_decoder(backend: ToyBackend):
     """Decoder mapping rendered state text back to a ReasoningState.
 
     Used to serve a toy backend over the wire protocol: the question id is
-    embedded in the question tag, and step metadata is rebuilt from the
-    rendered blocks (generation log-probs are not recoverable from text and
-    are irrelevant to the toy backend's semantics).
+    embedded in the question tag, and each step is parsed from its block,
+    so its kind, answer and code fields are the toy's own. Generation
+    log-probs are not in the text, and the toy backend does not read them.
     """
 
     # Step text -> its parsed Step, growing with the distinct steps served,

@@ -37,12 +37,15 @@ def code_step(
     mean_log_prob: float = -0.5,
     errored: bool = False,
 ) -> Step:
+    """A rendered code step; with ``errored`` an exception line ends its
+    output, which is what makes ``Step.code_errored`` true."""
+    if errored:
+        output += "\nNameError: name 'x' is not defined"
     return Step.code_step(
         analysis=analysis,
         code=code,
         output=output,
         mean_log_prob=mean_log_prob,
-        errored=errored,
     )
 
 

@@ -736,9 +736,9 @@ def _path_all_code_errored_but_answered():
     # the answer cannot have come from the computation, so drop the path.
     steps = (
         code_step(analysis="try a library", code="import missing",
-                  output="ImportError: No module named 'missing'", errored=True),
+                  output="ImportError: No module named 'missing'"),
         code_step(analysis="retry by hand", code="value = undefined",
-                  output="NameError: name 'undefined' is not defined", errored=True),
+                  output="NameError: name 'undefined' is not defined"),
         answer_step(answer="50"),
     )
     return SolutionPath(

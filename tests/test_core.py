@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -124,19 +126,34 @@ def test_answer_step_without_marker_is_rejected_at_construction():
         )
 
 
+# Outputs render_code_step writes, and whether each reads as a failed run:
+# its last line names an exception.
+CODE_OUTPUTS = [
+    ("42", False),
+    ('Traceback (most recent call last):\n  File "<stdin>", line 1, in <module>\n'
+     "ZeroDivisionError: division by zero", True),
+    ("numpy.linalg.LinAlgError: Singular matrix", True),
+    ("Exception", True),
+    ("KeyError: 'k'\n\n", True),
+    ("ValueError: retrying\nError rate 0.1\n3", False),  # errors mid-output, a clean last line
+    ("Errors: 0", False),
+    ("", False),
+    ("a </p> b\n</p>\n<p>\n", False),
+]
+
+
+@pytest.mark.parametrize("output, errored", CODE_OUTPUTS)
+def test_code_step_output_and_error_flag_parse_back(output, errored):
+    step = Step.from_text(render_code_step("run it", "print(x)", output), -0.5)
+    assert step == Step.code_step("run it", "print(x)", output, -0.5)
+    assert (step.contains_code, step.code_output, step.code_errored) == (True, output, errored)
+
+
 def test_step_invariants():
     with pytest.raises(ContractViolation):
         Step(kind=StepKind.CODE, text="no tags", mean_log_prob=-0.1)
     with pytest.raises(ContractViolation):
         code_step(mean_log_prob=0.5)  # log-prob must be <= 0
-    with pytest.raises(ContractViolation):
-        # answer steps carry no code
-        Step(
-            kind=StepKind.ANSWER,
-            text=render_answer_step("a", " $1$"),
-            mean_log_prob=-0.1,
-            contains_code=True,
-        )
 
 
 def test_prior_in_unit_interval():
@@ -164,13 +181,20 @@ def test_log_prior_inverts_step_prior():
 
 def test_step_from_text_reads_kind_code_flag_and_answer():
     code = code_step(output="7", errored=True, mean_log_prob=-0.3)
-    assert Step.from_text(code.text, -0.3) == Step(
-        kind=StepKind.CODE, text=code.text, mean_log_prob=-0.3, contains_code=True
+    parsed = Step.from_text(code.text, -0.3)
+    assert parsed == Step(kind=StepKind.CODE, text=code.text, mean_log_prob=-0.3)
+    assert (parsed.contains_code, parsed.code_output, parsed.code_errored) == (
+        True, "7\nNameError: name 'x' is not defined", True
     )
     answer = answer_step("$3/6$")
     assert Step.from_text(answer.text, answer.mean_log_prob) == answer
     prose = "<step>\n<p>\nthinking\n</p>\n</step>"
     assert Step.from_text(prose) == Step(kind=StepKind.CODE, text=prose, mean_log_prob=0.0)
+    # no code block, an answer, or a code block with no output block after it
+    unrun = "<step>\n<p>\nset up\n</p>\n<code>\nx = 1\n</code>\n</step>"
+    for text, code_flag in ((prose, False), (answer.text, False), (unrun, True)):
+        parsed = Step.from_text(text)
+        assert (parsed.contains_code, parsed.code_output, parsed.code_errored) == (code_flag, None, False)
     # an explicit kind wins over the marker test
     assert Step.from_text(answer.text, kind=StepKind.ANSWER) == Step.from_text(answer.text)
     with pytest.raises(MalformedStepError):
@@ -228,6 +252,20 @@ def test_normalize_answer_examples():
     assert normalize_answer("Twelve.").normalized == "twelve"
     assert normalize_answer("$ 3.5 $").numeric == 3.5
     assert normalize_answer("1/2").numeric is not None
+
+
+def test_a_numeral_past_the_exponent_bound_is_not_numeric():
+    # Fraction would build 10**exponent: past 4,300 places the answer is
+    # compared by its text, and normalizing it takes no time
+    start = time.perf_counter()
+    for raw in ("1e5000", "1E+4301", "1e999999999", "1.5e-999999999"):
+        answer = normalize_answer(raw)
+        assert answer.numeric is None and answer.normalized == raw.lower()
+    assert time.perf_counter() - start < 1.0
+    assert normalize_answer("1e4300").numeric == 10**4300
+    assert normalize_answer("-2.5e-4_300").numeric == Fraction(-5, 2 * 10**4300)
+    assert is_correct("$1e999999999$", "1e999999999")
+    assert not is_correct("1e999999999", "1e999999998")
 
 
 def test_normalization_is_idempotent():

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import code_step, make_state
 from rsp.cli import EXIT_CONFIG, EXIT_DATASET, _load_config_file, _load_dataset, main
-from rsp.core import EngineError
+from rsp.core import EngineError, Step
 from rsp.policy import _proposal_request_from_wire, _step_from_wire, _step_to_wire
 
 VALUES = {
@@ -106,8 +106,9 @@ def _proposal(tmp_path, field, value):
     payload = {**_step_to_wire(code_step()), field: value}
     step = _step_from_wire(payload)
     assert step.mean_log_prob == payload["mean_log_prob"] and type(step.mean_log_prob) is float
+    parsed = Step.from_text(payload["text"])
     assert (step.contains_code, step.code_errored, step.code_output) == (
-        payload["contains_code"], payload["code_errored"], payload["code_output"]
+        parsed.contains_code, parsed.code_errored, parsed.code_output
     )
     return "ok"
 

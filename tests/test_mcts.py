@@ -4,12 +4,13 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, Reward, StepKind, apply_step, render_answer_step
-from rsp.datagen import harvest_paths
+from rsp.core import ContractViolation, Reward, StepKind, apply_step, derive_seed, render_answer_step
+from rsp.datagen import FilterLevel, filter_solutions, harvest_paths
 from rsp.inference import decode_tree, inference_search_config, q_sweep
 from rsp.mcts import (
     EvaluationMode,
@@ -517,6 +518,27 @@ def test_snapshot_round_trip_preserves_ranking_state():
     assert tree_to_snapshot(rebuilt) == doc
     assert rebuilt.simulations_run == tree.simulations_run
     assert rebuilt.gold_answer == tree.gold_answer
+
+
+def test_snapshot_round_trip_keeps_filter_levels():
+    # each step's code output and error flag come back from its text, so a
+    # loaded tree filters as the built one did: its all-code-errored paths
+    # are still rejected
+    corpus = toy_corpus(40, 7)
+    backend = ToyBackend.for_corpus(corpus)
+    built, loaded = [], []
+    for i, problem in enumerate(corpus):
+        tree = build_tree(
+            problem.root_state(), problem.gold_answer, backend,
+            SearchConfig(n_simulations=40), seed=derive_seed(1, i),
+        )
+        rebuilt = snapshot_to_tree(json.loads(json.dumps(tree_to_snapshot(tree))))
+        for levels, source in ((built, tree), (loaded, rebuilt)):
+            levels += [(p.solution_text(), p.filter_level) for p in filter_solutions(harvest_paths([source]))]
+    assert loaded == built
+    assert Counter(level for _, level in built) == {
+        FilterLevel.LEVEL1: 62, FilterLevel.LEVEL3: 17, FilterLevel.INCORRECT: 140
+    }
 
 
 class ChainBackend(PolicyValueBackend):

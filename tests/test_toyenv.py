@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -21,6 +20,7 @@ from rsp.toyenv import (
     generate_problem,
     problem_from_id,
     toy_corpus,
+    toy_state_decoder,
     toy_true_value,
 )
 
@@ -126,21 +126,35 @@ def test_action_probabilities_sum_to_one_everywhere():
                     stack.append(history + (action.label,))
 
 
+def _parsed_fields(step):
+    return step.kind, step.text, step.answer, step.contains_code, step.code_output, step.code_errored
+
+
 def test_step_text_codec_recovers_every_toy_step():
-    # the codec rebuilds everything a step's text carries; execution
-    # metadata (code output, error flag) is not in the text
+    # the codec rebuilds every step, its code flag, output and error flag are
+    # the toy action's, and the reference server's decoder hands a backend
+    # the same steps, generation log-probs aside
+    corpus = toy_corpus(20, 0)
+    decode = toy_state_decoder(ToyBackend.for_corpus(corpus))
     checked = 0
-    for problem in toy_corpus(20, 0):
-        stack = [()]
+    for problem in corpus:
+        stack = [((), problem.root_state())]
         while stack:
-            history = stack.pop()
+            history, state = stack.pop()
             for action in problem.actions_at(history):
                 step = problem.step_for(action)
-                expected = replace(step, code_output=None, code_errored=False)
-                assert Step.from_text(step.text, step.mean_log_prob) == expected
+                parsed = Step.from_text(step.text, step.mean_log_prob)
+                assert parsed == step
+                op = action.kind is ActionKind.OP
+                assert (parsed.contains_code, parsed.code_errored) == (op, action.errored)
+                if op and not action.errored:
+                    assert parsed.code_output == str(action.value_after)
+                child = apply_step(state, step, problem.horizon + 1)
+                decoded = decode(child.render()).steps
+                assert list(map(_parsed_fields, decoded)) == list(map(_parsed_fields, child.steps))
                 checked += 1
-                if action.kind is ActionKind.OP:
-                    stack.append(history + (action.label,))
+                if op:
+                    stack.append((history + (action.label,), child))
     assert checked > 100
 
 
