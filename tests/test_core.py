@@ -263,7 +263,7 @@ def test_a_numeral_past_the_exponent_bound_is_not_numeric():
         assert answer.numeric is None and answer.normalized == raw.lower()
     assert time.perf_counter() - start < 1.0
     assert normalize_answer("1e4300").numeric == 10**4300
-    assert normalize_answer("-2.5e-4_300").numeric == Fraction(-5, 2 * 10**4300)
+    assert normalize_answer("-2.5e-4300").numeric == Fraction(-5, 2 * 10**4300)
     assert is_correct("$1e999999999$", "1e999999999")
     assert not is_correct("1e999999999", "1e999999998")
 
