@@ -236,8 +236,10 @@ _MAX_EXPONENT = 4300
 
 
 def _parse_numeric(text: str) -> Fraction | float | None:
+    if "_" in text:
+        return None  # Fraction reads digit separators on Python 3.11, not 3.10
     _, e, exponent = text.rpartition("e")
-    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = exponent.lstrip("+-").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
         return None
     try:
@@ -256,9 +258,9 @@ def normalize_answer(raw: str) -> Answer:
 
     Strips surrounding whitespace, TeX math delimiters and trailing periods,
     lowercases the text, canonicalizes simple interval notation, and parses
-    a numeric form when one exists (none past an exponent of 4,300 in
-    magnitude). Idempotent: normalizing the normalized text yields the same
-    result.
+    a numeric form when one exists (none for a numeral with ``_`` digit
+    separators, nor past an exponent of 4,300 in magnitude). Idempotent:
+    normalizing the normalized text yields the same result.
     """
     text = _strip_wrappers(raw).lower()
     interval = _INTERVAL_RE.match(text)
@@ -325,7 +327,8 @@ def extract_answer_text(text: str) -> Answer:
 
 def is_terminal(state: ReasoningState, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:
     """A state is terminal once it answers or exhausts the depth budget."""
-    return state.has_answer or state.depth >= max_depth
+    steps = state.steps  # has_answer and depth, read once: every rollout step asks
+    return len(steps) >= max_depth or (bool(steps) and steps[-1].kind is StepKind.ANSWER)
 
 
 _WIN, _LOSS = Reward(1.0), Reward(-1.0)  # frozen, so shared: grading a path builds none
@@ -343,16 +346,23 @@ def path_reward(state: ReasoningState, gold: Answer | None) -> Reward | None:
 def apply_step(
     state: ReasoningState, step: Step, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> ReasoningState:
-    """Append one step, enforcing that the source state could still act."""
-    if state.has_answer:
+    """Append one step, enforcing that the source state could still act.
+
+    The new state skips the constructor's check that only the last step
+    answers: the source state passed it, and one that answered is refused
+    here, so only the appended step can answer.
+    """
+    steps = state.steps
+    if steps and steps[-1].kind is StepKind.ANSWER:
         raise ContractViolation("cannot extend a state that already answered")
-    if state.depth >= max_depth:
+    if len(steps) >= max_depth:
         raise ContractViolation("cannot extend a state at the depth budget")
-    return ReasoningState(
-        question_id=state.question_id,
-        question_text=state.question_text,
-        steps=state.steps + (step,),
-    )
+    child = object.__new__(ReasoningState)
+    fields = child.__dict__
+    fields["question_id"] = state.question_id
+    fields["question_text"] = state.question_text
+    fields["steps"] = steps + (step,)
+    return child
 
 
 def derive_seed(*parts: int) -> int:

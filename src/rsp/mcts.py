@@ -313,15 +313,9 @@ def sample_path(
     """Extend ``state`` one sampled step at a time, each request seeded from
     ``rng``, until the path answers, dead-ends or hits the depth budget; the
     last two leave the returned state without an answer."""
+    propose, randrange = backend.propose_steps, rng.randrange
     while not is_terminal(state, max_depth):
-        proposals = backend.propose_steps(
-            ProposalRequest(
-                state=state,
-                n_samples=1,
-                temperature=temperature,
-                seed=rng.randrange(2**63),
-            )
-        )
+        proposals = propose(ProposalRequest(state, 1, temperature, randrange(2**63)))
         if not proposals:
             break  # dead end: return the unanswered partial path
         state = apply_step(state, proposals[0].step, max_depth)

@@ -73,6 +73,8 @@ class ProposalRequest:
             raise ContractViolation("n_samples must be >= 1")
         if not self.temperature > 0.0:
             raise ContractViolation("temperature must be > 0")
+        if self.seed is not None and not isinstance(self.seed, int):
+            raise ContractViolation(f"seed must be an integer or None, not {self.seed!r}")
 
 
 @dataclass(frozen=True)

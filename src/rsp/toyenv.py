@@ -17,10 +17,12 @@ trained value model.
 
 from __future__ import annotations
 
+import _random
 import itertools
 import math
 import random
 import re
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,7 +33,6 @@ from .core import (
     ContractViolation,
     ReasoningState,
     Step,
-    StepKind,
     is_correct,
     log_prior,
     normalize_answer,
@@ -68,6 +69,32 @@ class ToyAction:
     errored: bool = False
     answer_text: str | None = None
 
+    @cached_property
+    def proposal(self) -> Proposal:
+        """The proposal of this action's rendered step; built on first read
+        and shared, because a Proposal is frozen and rollouts revisit states."""
+        log_prob = log_prior(self.prob)
+        if self.kind is ActionKind.ANSWER:
+            step = Step.answer_step(
+                analysis=f"The value is now {self.value_before}.",
+                answer=f" ${self.answer_text}$",
+                mean_log_prob=log_prob,
+            )
+        else:
+            delta = self.value_after - self.value_before
+            expr = (
+                f"value = {self.value_before} + {delta}"
+                if delta >= 0
+                else f"value = {self.value_before} - {-delta}"
+            )
+            step = Step.code_step(
+                analysis=f"Apply {self.label}.",
+                code=f"{expr}\nprint(value)",
+                output=_ERROR_OUTPUT if self.errored else str(self.value_after),
+                mean_log_prob=log_prob,
+            )
+        return Proposal(step=step)
+
 
 class ToyProblem:
     """Base class: a finite, enumerable single-question environment.
@@ -85,7 +112,6 @@ class ToyProblem:
     greedy_trap: bool
 
     def __init__(self) -> None:
-        self._proposal_cache: dict[tuple[str, int, float], Proposal] = {}
         self._value_memo: dict[tuple[str, ...], float] = {}
         self._sampler_memo: dict[tuple[tuple[str, ...], float], _Sampler] = {}
 
@@ -109,39 +135,7 @@ class ToyProblem:
 
     def step_for(self, action: ToyAction) -> Step:
         """Rendered step for an action."""
-        return self.proposal_for(action).step
-
-    def proposal_for(self, action: ToyAction) -> Proposal:
-        """The proposal of an action's rendered step; cached because rollouts
-        revisit states, and shared because a Proposal is frozen."""
-        # prob is part of the key: the same operation can be offered with a
-        # different remaining-set probability on different paths.
-        key = (action.label, action.value_before, action.prob)
-        proposal = self._proposal_cache.get(key)
-        if proposal is not None:
-            return proposal
-        log_prob = log_prior(action.prob)
-        if action.kind is ActionKind.ANSWER:
-            step = Step.answer_step(
-                analysis=f"The value is now {action.value_before}.",
-                answer=f" ${action.answer_text}$",
-                mean_log_prob=log_prob,
-            )
-        else:
-            delta = action.value_after - action.value_before
-            expr = (
-                f"value = {action.value_before} + {delta}"
-                if delta >= 0
-                else f"value = {action.value_before} - {-delta}"
-            )
-            step = Step.code_step(
-                analysis=f"Apply {action.label}.",
-                code=f"{expr}\nprint(value)",
-                output=_ERROR_OUTPUT if action.errored else str(action.value_after),
-                mean_log_prob=log_prob,
-            )
-        proposal = self._proposal_cache[key] = Proposal(step=step)
-        return proposal
+        return action.proposal.step
 
     def root_state(self) -> ReasoningState:
         return ReasoningState(question_id=self.id, question_text=self.question_text)
@@ -410,12 +404,13 @@ class ToyBackend(PolicyValueBackend):
     table (p ** (1/t), renormalized) and samples without replacement, so a
     request for n >= branching distinct steps returns every legal move.
     Referentially transparent given (state, seed). Safe for concurrent use:
-    every cache (the problem map, each problem's action lists, samplers,
-    proposals and exact values, and the step-text-to-label memo) is a
-    dictionary whose entries are computed from their key alone and never
-    mutated after insertion, so racing threads at worst compute an entry
-    twice and store equal values, as they may each problem's normalized
-    gold answer.
+    every cache (the problem map, each problem's action lists, samplers and
+    exact values, and the step-text-to-label memo) is a dictionary whose
+    entries are computed from their key alone and never mutated after
+    insertion, so racing threads at worst compute an entry twice and store
+    equal values, as they may each problem's normalized gold answer and
+    each action's proposal. The one reused mutable object, the sampler's
+    ``random.Random``, is one per thread and reseeded before every draw.
     """
 
     problems: dict[str, ToyProblem] = field(default_factory=dict)
@@ -439,13 +434,12 @@ class ToyBackend(PolicyValueBackend):
     def decode_state(self, state: ReasoningState) -> tuple[ToyProblem, tuple[str, ...], Answer | None]:
         """Map a state to (problem, op-label history, answer or None)."""
         problem = self.problem_for(state.question_id)
+        steps = state.steps
+        # Only the last step can answer, and a code step's answer is None.
+        answered = steps[-1].answer if steps else None
         known = self._labels
-        labels: list[str] = []
-        answered: Answer | None = None
-        for step in state.steps:
-            if step.kind is StepKind.ANSWER:
-                answered = step.answer
-                continue
+        labels = []
+        for step in steps[:-1] if answered else steps:
             label = known.get(step.text)
             if label is None:
                 m = _OP_LABEL_RE.search(step.text)
@@ -462,7 +456,7 @@ class ToyBackend(PolicyValueBackend):
         chosen = problem.sampler(history, request.temperature).sample(
             request.n_samples, request.seed
         )
-        return [problem.proposal_for(action) for action in chosen]
+        return [action.proposal for action in chosen]
 
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         if self.mode is Mode.COLD:
@@ -477,6 +471,13 @@ class ToyBackend(PolicyValueBackend):
         return toy_true_value(problem, history)
 
 
+class _ThreadRandom(threading.local):
+    """One ``random.Random`` per thread, for the sampler to reseed."""
+
+    def __init__(self) -> None:
+        self.random = random.Random()
+
+
 class _Sampler:
     """Draws up to n distinct actions from one action table at one
     temperature, without replacement.
@@ -484,8 +485,14 @@ class _Sampler:
     The weights, their total and their running sums are computed once; every
     draw consumes the same ``random.Random(seed)`` values and does the same
     float arithmetic as sampling from scratch, so the picks depend only on
-    (actions, temperature, n, seed).
+    (actions, temperature, n, seed). Each draw reseeds its thread's one
+    ``random.Random`` with the generator's own seed, which is all that
+    ``random.Random(seed)`` does after allocating for an integer seed, so
+    the values are the same; with no seed it draws fresh entropy from the
+    OS, as ``random.Random()`` does.
     """
+
+    _thread = _ThreadRandom()
 
     def __init__(self, actions: list[ToyAction], temperature: float) -> None:
         self.actions = actions
@@ -511,7 +518,8 @@ class _Sampler:
             return self.ranked[:n]
         if len(actions) <= 1:
             return actions[:n]  # the only legal move or none, whatever the draw
-        rng = random.Random(seed) if seed is not None else random.Random()
+        rng = self._thread.random
+        _random.Random.seed(rng, seed)
         if n == 1:
             # First running sum above the mark; the last action when rounding
             # leaves the mark at or above every sum.

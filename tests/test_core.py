@@ -10,6 +10,7 @@ from rsp.core import (
     Answer,
     ContractViolation,
     MalformedStepError,
+    ReasoningState,
     Reward,
     Step,
     StepKind,
@@ -71,6 +72,15 @@ def test_apply_step_rejects_exceeding_budget():
     state = make_state(steps=tuple(code_step(analysis=f"s{i}") for i in range(8)))
     with pytest.raises(ContractViolation):
         apply_step(state, code_step(analysis="one too many"), max_depth=8)
+
+
+def test_apply_step_builds_the_state_the_constructor_builds():
+    state = make_state()
+    for step in (code_step(analysis="a"), code_step(analysis="b"), answer_step("9")):
+        built = ReasoningState(state.question_id, state.question_text, state.steps + (step,))
+        state = apply_step(state, step)
+        assert state == built and hash(state) == hash(built)
+        assert type(state) is ReasoningState and vars(state) == vars(built)
 
 
 def test_is_terminal_cases():
@@ -266,6 +276,18 @@ def test_a_numeral_past_the_exponent_bound_is_not_numeric():
     assert normalize_answer("-2.5e-4300").numeric == Fraction(-5, 2 * 10**4300)
     assert is_correct("$1e999999999$", "1e999999999")
     assert not is_correct("1e999999999", "1e999999998")
+
+
+def test_a_numeral_with_digit_separators_compares_by_its_text():
+    # Python 3.11's Fraction reads "_" separators and 3.10's does not (its
+    # float fallback then does), so a numeral with one is read as a number
+    # on neither version.
+    for raw in ("1_000", "2.5e-4_300", "-3_5.5", "1_0/4", "1e1_0"):
+        answer = normalize_answer(raw)
+        assert answer.numeric is None and answer.normalized == raw
+    assert not is_correct("2.5e-4_300", "0")
+    assert not is_correct("1_000", "1000")
+    assert is_correct("$1_000$", "1_000")
 
 
 def test_normalization_is_idempotent():

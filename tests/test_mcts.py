@@ -28,6 +28,7 @@ from rsp.mcts import (
     puct_score,
     q_targets,
     run_simulation,
+    sample_path,
     select,
     snapshot_to_tree,
     tree_to_snapshot,
@@ -467,6 +468,36 @@ def test_mc_rollout_on_answered_state_scores_immediately():
     assert mc_rollout_estimate(answered, problem.gold_answer, backend, 1) == 1.0
     with pytest.raises(ContractViolation):
         mc_rollout_estimate(answered, problem.gold_answer, backend, 0)
+
+
+def test_sample_path_stops_at_an_answer_a_dead_end_and_the_budget():
+    root = make_state()
+    a, b, win = code_step(analysis="a"), code_step(analysis="b"), answer_step("7")
+    q_a = apply_step(root, a)
+    q_ab = apply_step(q_a, b)
+    backend = ScriptedBackend({root.render(): [a], q_a.render(): [b], q_ab.render(): [win]})
+    requests = []
+    propose = backend.propose_steps
+    backend.propose_steps = lambda request: requests.append(request) or propose(request)
+    draws = random.Random(5)
+    seeds = [draws.randrange(2**63) for _ in range(5)]
+
+    rng = random.Random(5)
+    answered = sample_path(root, backend, 0.7, 8, rng)
+    assert answered.steps == (a, b, win)
+    capped = sample_path(root, backend, 0.7, 2, rng)  # the budget: no third request
+    assert capped.steps == (a, b) and not capped.has_answer
+    assert [(r.state, r.n_samples, r.temperature, r.seed) for r in requests] == [
+        (root, 1, 0.7, seeds[0]), (q_a, 1, 0.7, seeds[1]), (q_ab, 1, 0.7, seeds[2]),
+        (root, 1, 0.7, seeds[3]), (q_a, 1, 0.7, seeds[4]),
+    ]
+    assert sample_path(answered, backend, 0.7, 8, rng) is answered  # terminal: no request
+    assert sample_path(capped, backend, 0.7, 2, rng) is capped
+    assert len(requests) == 5
+
+    stuck = ScriptedBackend({root.render(): [a]})  # q_a has no continuation
+    assert sample_path(root, stuck, 0.7, 8, rng).steps == (a,)
+    assert stuck.propose_calls == [root.render(), q_a.render()]
 
 
 def test_q_targets_cover_visited_nodes_only():

@@ -20,6 +20,10 @@ def test_proposal_request_validation():
         ProposalRequest(state=state, n_samples=0, temperature=0.5, seed=0)
     with pytest.raises(ContractViolation):
         ProposalRequest(state=state, n_samples=1, temperature=0.0, seed=0)
+    ProposalRequest(state=state, n_samples=1, temperature=0.5, seed=None)
+    for seed in ("7", 7.0, b"7"):  # a draw is seeded by an integer, as on the wire
+        with pytest.raises(ContractViolation):
+            ProposalRequest(state=state, n_samples=1, temperature=0.5, seed=seed)
 
 
 def test_value_prediction_range():

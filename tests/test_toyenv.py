@@ -1,14 +1,17 @@
 """Finite toy-environment tests: generation, exact values, backend modes."""
 
+import hashlib
 import math
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
+from test_acceptance import _random_deeper_state
 from rsp.core import ContractViolation, Step, apply_step, derive_seed, normalize_answer
-from rsp.mcts import mc_rollout_estimate
+from rsp.mcts import mc_rollout_estimate, sample_path
 from rsp.policy import DETERMINISTIC_TEMPERATURE, ProposalRequest
 from rsp.toyenv import (
     ActionKind,
@@ -396,13 +399,27 @@ def test_memoized_sampler_matches_sampling_from_scratch():
                     assert got == want, (probs, temperature, n, seed)
 
 
+def test_a_reused_random_shows_in_no_draw():
+    # The sampler reseeds one Random per thread. Unseeded draws of another
+    # size between the seeded ones must leave no trace in any seeded pick.
+    actions = [
+        ToyAction(label=f"op{i}", kind=ActionKind.OP, prob=p, value_before=0, value_after=i)
+        for i, p in enumerate((0.4, 0.3, 0.2, 0.1))
+    ]
+    sampler = TableProblem("tbl-r", "0", {(): actions}).sampler((), 1.0)
+    for seed in range(300):
+        for n, other in ((1, 3), (3, 1)):
+            sampler.sample(other, None)
+            assert sampler.sample(n, seed) == _reference_sample(actions, n, 1.0, seed), (n, seed)
+
+
 def test_toy_proposals_are_built_once_and_shared():
     problem = generate_problem(42)
     backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
     request = ProposalRequest(state=problem.root_state(), n_samples=5, temperature=1.0, seed=3)
     first, again = backend.propose_steps(request), backend.propose_steps(request)
     assert first and all(a is b for a, b in zip(first, again))
-    cached = {id(problem.proposal_for(a)) for a in problem.actions_at(())}
+    cached = {id(a.proposal) for a in problem.actions_at(())}
     assert {id(p) for p in first} <= cached
     assert all(p.value is None for p in first)  # the toy attaches no values
 
@@ -425,6 +442,38 @@ def test_rollout_estimates_keep_their_pinned_bits():
             n_rollouts=2000, seed=derive_seed(202, index),
         )
         assert estimate.hex() == want, index
+
+
+def test_rollouts_below_the_root_keep_their_pinned_bits():
+    # Deeper states of acceptance criterion 2, walked from Random(202) after
+    # its 20 root states. Every state below a toy root has one outcome, so
+    # the estimate pins only that each path finishes; the digest of the
+    # sampled paths pins every draw. Both were recorded before the sampler
+    # reused its Random and apply_step stopped re-checking earlier steps.
+    problems = toy_corpus(20, seed=202)
+    backend = ToyBackend.for_corpus(problems, mode=Mode.ORACLE)
+    rng = random.Random(202)
+    states = [(p, p.root_state()) for p in problems]
+    while len(states) < 27:
+        problem = problems[rng.randrange(len(problems))]
+        states.append((problem, _random_deeper_state(problem, rng)))
+    pinned = {
+        21: ("-0x1.0000000000000p+0", "73434f42e884b4ad74adf7521be439e5"),
+        23: ("-0x1.0000000000000p+0", "a6ab7a0dd47c3e15a1436cb1224587ac"),
+        26: ("0x1.0000000000000p+0", "b105a3c639e8db802f724d093ddf0771"),
+    }
+    for index, (want_estimate, want_digest) in pinned.items():
+        problem, state = states[index]
+        assert state.depth >= 1
+        estimate = mc_rollout_estimate(
+            state, problem.gold_answer, backend, n_rollouts=2000, seed=derive_seed(202, index),
+        )
+        assert estimate.hex() == want_estimate, index
+        paths = random.Random(derive_seed(202, index))
+        digest = hashlib.blake2b(digest_size=16)
+        for _ in range(200):
+            digest.update(sample_path(state, backend, 1.0, 8, paths).render().encode())
+        assert digest.hexdigest() == want_digest, index
 
 
 def _rollout_requests(problems, seed):
@@ -461,6 +510,46 @@ def test_concurrent_proposals_match_serial_ones():
         order = list(range(len(requests)))
         random.Random(slot).shuffle(order)
         for i in order:
+            results[slot][i] = [p.step for p in shared.propose_steps(requests[i])]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert [result[i] for i in range(len(requests))] == serial
+
+
+def test_concurrent_rollout_draws_match_serial_ones():
+    # The rollout path: one step at temperature 1.0 per request. Four threads
+    # share one backend, each interleaving unseeded requests with its seeded
+    # ones, while frequent thread switches interleave the threads' reseeds.
+    problems = toy_corpus(6, seed=22)
+    serial_backend = ToyBackend.for_corpus(problems)
+    rng = random.Random(22)
+    requests = []
+    for problem in problems:
+        for _ in range(20):
+            state = problem.root_state()
+            while not state.has_answer:
+                requests.append(ProposalRequest(state, 1, 1.0, rng.randrange(2**63)))
+                state = apply_step(state, serial_backend.propose_steps(requests[-1])[0].step)
+    serial = [[p.step for p in serial_backend.propose_steps(r)] for r in requests]
+    shared = ToyBackend(mode=Mode.ORACLE)
+    results = [{} for _ in range(4)]
+
+    def work(slot):
+        order = list(range(len(requests)))
+        random.Random(slot).shuffle(order)
+        for i in order:
+            shared.propose_steps(replace(requests[i], seed=None))
             results[slot][i] = [p.step for p in shared.propose_steps(requests[i])]
 
     threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
