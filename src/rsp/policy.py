@@ -449,26 +449,115 @@ def _proposal_request_from_wire(state: ReasoningState, body: dict) -> ProposalRe
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _MAX_BODY = 1 << 24  # bytes in a request body: far above any rendered state
+_RECV_SIZE = 1 << 16
 _HTTP_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
+_BLOCK_END = re.compile(rb"\n\r?\n")  # a line's end and the empty line after it
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
             414: "URI Too Long", 431: "Request Header Fields Too Large", 500: "Internal Server Error",
             501: "Not Implemented", 505: "HTTP Version Not Supported"}
-_CONFLICTING_LENGTHS = {"error": "conflicting Content-Length values"}
-_TOO_MANY_HEADERS = {"error": f"more than {_MAX_HEADERS} headers"}
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
-def _add_header(headers: dict[str, str], line: str) -> bool:
-    """Add one header line to ``headers``, its name lower-cased and the first
-    value of a repeated name kept; False when the line gives Content-Length
-    a second, different value."""
-    name, _, value = line.partition(":")
-    name, value = name.strip().lower(), value.strip()
-    return headers.setdefault(name, value) == value or name != "content-length"
+class _CutShort(Exception):
+    """The stream ended before what was asked of it."""
 
 
-class _BackendRequestHandler(socketserver.StreamRequestHandler):
+class _Malformed(Exception):
+    """What arrived cannot be read: a header line broke the header-line rule,
+    or (as ``_OverLimit``) a line or a header block broke its limit."""
+
+
+class _OverLimit(_Malformed):
+    """A line or a header block broke its limit."""
+
+
+class _WireReader:
+    """The HTTP/1.1 reads both ends of the wire make on one socket: a line, a
+    header block, or exactly n bytes, each refused as soon as a limit breaks.
+
+    Bytes received past a read stay in ``buffer`` for the next one. A read
+    keeps its scan position between receives, so its work is linear in the
+    bytes received however they arrive. ``name`` ("request" or "reply")
+    names the message in refusals.
+    """
+
+    def __init__(self, sock: socket.socket, name: str) -> None:
+        self._recv = sock.recv
+        self._name = name
+        self.buffer = bytearray()
+
+    def fill(self) -> bool:
+        """Receive what the socket has into the buffer; False at end of stream."""
+        chunk = self._recv(_RECV_SIZE)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def line(self) -> bytes:
+        """The next line without its LF or CRLF, refused past ``_MAX_LINE`` bytes."""
+        buffer, scanned = self.buffer, 0
+        while (end := buffer.find(b"\n", scanned, _MAX_LINE)) < 0:
+            if len(buffer) >= _MAX_LINE:
+                raise _OverLimit(f"{self._name} line over {_MAX_LINE} bytes")
+            scanned = len(buffer)
+            if not self.fill():
+                raise _CutShort(f"connection closed inside the {self._name} head")
+        line = bytes(buffer[:end]).removesuffix(b"\r")
+        del buffer[: end + 1]
+        return line
+
+    def headers(self) -> list[tuple[str, str]]:
+        """The header lines up to the empty line that ends them, as (name,
+        value) pairs with names lower-cased. Refused past ``_MAX_HEADERS``
+        lines, and at a line with no colon, an empty name, or a space or
+        other non-printing character in the name, such as the tab or space
+        before a colon or the leading space of a folded line (RFC 9112
+        sections 5.1 and 5.2).
+
+        After each receive the lines that have arrived whole are checked in
+        order, from one decode; the buffer then holds only the partial line
+        after them, so no byte is searched twice.
+        """
+        buffer, pairs, scanned = self.buffer, [], 0
+        while not buffer.startswith((b"\n", b"\r\n")):
+            end = _BLOCK_END.search(buffer, scanned)
+            last = end.start() if end else buffer.rfind(b"\n", scanned)  # the last whole line's end
+            if last >= 0:
+                lines = buffer[:last].decode("latin-1").split("\n")
+                room = _MAX_HEADERS - len(pairs)
+                for line in lines[:room]:
+                    if len(line) >= _MAX_LINE:
+                        raise _OverLimit(f"{self._name} line over {_MAX_LINE} bytes")
+                    name, colon, value = line.partition(":")  # the value's strip() takes any CR
+                    if not colon or not name or " " in name or not name.isprintable():
+                        raise _Malformed(f"malformed header line {line[:200]!r}")
+                    pairs.append((name.lower(), value.strip()))
+                if len(lines) > room:
+                    raise _OverLimit(f"more than {_MAX_HEADERS} headers")
+            if end:
+                del buffer[: end.end()]
+                return pairs
+            del buffer[: last + 1]
+            if len(buffer) >= _MAX_LINE:
+                raise _OverLimit(f"{self._name} line over {_MAX_LINE} bytes")
+            scanned = len(buffer)
+            if not self.fill():
+                raise _CutShort(f"connection closed inside the {self._name} head")
+        del buffer[: buffer.index(b"\n") + 1]  # an empty first line: no headers
+        return pairs
+
+    def exactly(self, size: int) -> bytes:
+        """The next ``size`` bytes, refused if the stream ends first."""
+        buffer = self.buffer
+        while len(buffer) < size:
+            if not self.fill():
+                raise _CutShort(f"connection closed inside the {self._name} body ({len(buffer)} of {size} bytes)")
+        data = bytes(buffer[:size])
+        del buffer[:size]
+        return data
+
+
+class _BackendRequestHandler(socketserver.BaseRequestHandler):
     """Serves an in-process backend over the wire protocol (used for tests
     and for exposing the toy environment to external clients).
 
@@ -477,50 +566,38 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
     attached to it, or else the backend's ``predict_value`` for the state
     plus that step, computed in the same request.
 
-    The handler reads the request line and headers itself, in one read
-    when the head is already whole in the buffer, and writes each reply,
-    status line, headers and JSON body, in one send, with the server's
-    Date value. Connections are
-    kept alive between requests, and each request body is read in full
-    before the reply, so the next request starts where this one ends. A
-    request that breaks the protocol edges listed in the README is answered
-    with ``Connection: close``, and the connection closes.
+    The handler reads each request through one ``_WireReader`` on its
+    socket, and writes each reply, status line, headers and JSON body, in
+    one send, with the server's Date value. Connections are kept alive
+    between requests, and each request body is read in full before the
+    reply, so the next request starts where this one ends. A request that
+    breaks the protocol edges listed in the README is answered with
+    ``Connection: close``, and the connection closes; one cut short by the
+    end of the stream gets no reply.
     """
 
     backend: PolicyValueBackend
     state_decoder = None  # callable: rendered text -> ReasoningState
-    # Pipelined replies, or a 100 Continue and its reply, are back-to-back writes.
-    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        # Pipelined replies, or a 100 Continue and its reply, are back-to-back writes.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = _WireReader(self.request, "request")
 
     def handle(self) -> None:
-        while self._serve_one():
-            pass
-
-    def _buffered_head(self) -> tuple[bytes, list[str]] | None:
-        """The request line and header lines of a head that is already whole
-        in the read buffer, taken from it in one read, when every line of it
-        ends in CRLF and the request line is not empty; else None, and the
-        head is read line by line."""
-        data = self.rfile.peek()  # what is buffered, or one read from the socket
-        end = data.find(b"\r\n\r\n")
-        if end < 0 or data.startswith(b"\r\n") or data.count(b"\n", 0, end) != data.count(b"\r\n", 0, end):
-            return None
-        line, _, rest = self.rfile.read(end + 4)[:end].partition(b"\r\n")
-        # The request line keeps its CRLF, as readline gives it: a 400 quotes it.
-        return line + b"\r\n", rest.decode("latin-1").split("\r\n") if rest else []
+        try:
+            while self._serve_one():
+                pass
+        except _CutShort:
+            pass  # an incomplete request is not served (RFC 9112 section 6.3)
 
     def _serve_one(self) -> bool:
         """Read one request and answer it; whether to read another."""
         self.keep_alive = False  # until the request has been read
-        head = self._buffered_head()
-        if head is None:
-            line = self.rfile.readline(_MAX_LINE + 1)
-            if not line:
-                return False  # the client closed the connection
-            if len(line) > _MAX_LINE:
-                return self._reply(414, {"error": "request line too long"})
-        else:
-            line, lines = head
+        try:
+            line = self.reader.line()
+        except _OverLimit:
+            return self._reply(414, {"error": "request line too long"})
         words = line.split()
         version = _HTTP_VERSION.fullmatch(words[2]) if len(words) == 3 else None
         if version is None:
@@ -528,26 +605,16 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
         version = (int(version[1]), int(version[2]))
         if version >= (2, 0):
             return self._reply(505, {"error": "HTTP version not supported"})
+        try:
+            pairs = self.reader.headers()
+        except _OverLimit as exc:
+            return self._reply(431, {"error": str(exc)})
+        except _Malformed as exc:
+            return self._reply(400, {"error": str(exc)})
         headers = self.headers = {}
-        if head is None:
-            for _ in range(_MAX_HEADERS + 1):
-                line = self.rfile.readline(_MAX_LINE + 1)
-                if len(line) > _MAX_LINE:
-                    return self._reply(431, {"error": "header line too long"})
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                if not _add_header(headers, line.decode("latin-1")):
-                    return self._reply(400, _CONFLICTING_LENGTHS)
-            else:
-                return self._reply(431, _TOO_MANY_HEADERS)
-            if not line:
-                return False  # cut off inside the headers
-        else:  # the same checks in the same order, on lines already split
-            for line in lines[: _MAX_HEADERS + 1]:
-                if not _add_header(headers, line):
-                    return self._reply(400, _CONFLICTING_LENGTHS)
-            if len(lines) > _MAX_HEADERS:
-                return self._reply(431, _TOO_MANY_HEADERS)
+        for name, value in pairs:  # the first value of a repeated name is kept
+            if headers.setdefault(name, value) != value and name == "content-length":
+                return self._reply(400, {"error": "conflicting Content-Length values"})
         if "transfer-encoding" in headers:
             return self._reply(400, {"error": "Transfer-Encoding is not supported"})
         if words[0] != b"POST":
@@ -567,7 +634,7 @@ class _BackendRequestHandler(socketserver.StreamRequestHandler):
     def _read_body(self) -> bytes | None:
         """The body by its Content-Length; None when that is missing or not digits."""
         length = self.headers.get("content-length", "")
-        return self.rfile.read(int(length)) if length.isdecimal() else None
+        return self.reader.exactly(int(length)) if length.isdecimal() else None
 
     def _reply(self, code: int, payload: dict) -> bool:
         """Send the reply in one write; whether the connection stays open."""

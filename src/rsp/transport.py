@@ -15,15 +15,18 @@ replaced:
 - ``build_response`` fills a ``requests.Response`` field by field, without
   the empty cookie jar and header dictionary its constructor makes first.
 
-The reply head is read in one pass once the empty line that ends it is in
-the buffer, which is almost always after the first read.
+The reply is read through ``rsp.policy._WireReader``, the reader the
+reference server reads requests with, so both ends share one line rule, one
+header-line rule and the same limits. The reader's refusals reach ``send``
+as urllib3 ``ProtocolError``s. This module keeps the client's own rules:
+the status line, repeated header values joined, and the body by
+``Content-Length``, by chunks or to the end of the stream.
 
 Imported when a remote client builds its session, never with ``rsp``.
 """
 
 from __future__ import annotations
 
-import re
 import select
 import socket
 import weakref
@@ -40,15 +43,11 @@ from requests.structures import CaseInsensitiveDict
 from requests.utils import get_encoding_from_headers
 from urllib3.exceptions import ProtocolError
 
-from .policy import _HTTP_VERSION, _MAX_BODY, _MAX_HEADERS, _MAX_LINE
+from .policy import _HTTP_VERSION, _MAX_BODY, _CutShort, _Malformed, _WireReader
 
-_RECV_SIZE = 1 << 16
 # What a session using this adapter offers; requests' own default also
 # offers br and zstd when their packages are installed.
 ACCEPT_ENCODING = "gzip, deflate"
-# The end of a head's last line and the empty line after it; a head that
-# starts with an empty line is caught before this search.
-_HEAD_END = re.compile(rb"\n\r?\n")
 # URLs whose path KeptAliveAdapter.request_url keeps: a client sends to two.
 _KEPT_PATHS = 8
 
@@ -111,17 +110,19 @@ class KeptAliveConnection:
         self._close_sock = None  # the finalizer that closes _sock
         self._poller = None  # _sock registered for reading, where select.poll exists
         self._read_timeout = None
-        self._buffer = bytearray()
+        self._reader: _WireReader | None = None  # reads _sock
 
     def close(self) -> None:
         if self._sock is not None:
             self._close_sock()
-            self._sock = self._poller = None
-        self._buffer.clear()
+            self._sock = self._poller = self._reader = None
 
     def urlopen(self, method: str, url: str, body=None, headers=None, timeout=None, **_) -> _Reply:
         try:
             return self._round_trip(method, url, body or b"", headers or {}, timeout)
+        except (_CutShort, _Malformed) as exc:  # the reader's refusals, as urllib3 names them
+            self.close()
+            raise ProtocolError(str(exc)) from None
         except BaseException:
             self.close()
             raise
@@ -130,6 +131,7 @@ class KeptAliveConnection:
         sock = socket.create_connection(self._address, connect_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock, self._read_timeout = sock, connect_timeout
+        self._reader = _WireReader(sock, "reply")
         self._close_sock = weakref.finalize(self, sock.close)
         if hasattr(select, "poll"):  # select() refuses descriptors past FD_SETSIZE
             self._poller = select.poll()
@@ -154,65 +156,25 @@ class KeptAliveConnection:
         pairs = headers._store.values() if isinstance(headers, CaseInsensitiveDict) else headers.items()
         head = "".join([f"{name}: {value}\r\n" for name, value in pairs])
         self._sock.sendall(f"{method} {url} HTTP/1.1\r\nHost: {self._host}\r\n{head}\r\n".encode("latin-1") + body)
+        reader = self._reader
         status = 100
         while status < 200:  # an interim 1xx reply is followed by the real one
-            (version, status, reason), reply_headers = self._read_head()
-        body, keep_alive = self._read_body(version, status, reply_headers)
-        if not keep_alive or self._buffer:
+            line = reader.line()
+            version, _, rest = line.partition(b" ")
+            code, _, reason = rest.partition(b" ")
+            match = _HTTP_VERSION.fullmatch(version)
+            if match is None or match[1] != b"1" or len(code) != 3 or not code.isdigit():
+                raise ProtocolError(f"malformed status line {line[:200]!r}")
+            status = int(code)
+            reply_headers: dict[str, str] = {}
+            for name, value in reader.headers():  # the values of a repeated name are joined
+                previous = reply_headers.get(name)
+                reply_headers[name] = value if previous in (None, value) else f"{previous}, {value}"
+        body, keep_alive = self._read_body((1, int(match[2])), status, reply_headers)
+        if not keep_alive or reader.buffer:
             self.close()  # the server closes, or sent more than one reply
         encoding = reply_headers.get("content-encoding", "").lower()
-        return _Reply(status, reason, reply_headers, _decoded(body, encoding))
-
-    def _fill(self) -> bool:
-        """Read what the socket has into the buffer; False at end of stream."""
-        chunk = self._sock.recv(_RECV_SIZE)
-        self._buffer += chunk
-        return bool(chunk)
-
-    def _read_head(self, status_line: bool = True) -> tuple[tuple | None, dict[str, str]]:
-        """The next head: its status line's (version, code, reason), or None
-        for a trailer section, and its headers, names lower-cased.
-
-        Read in one pass once the empty line that ends it is in the buffer.
-        Until then each read re-checks the lines already complete, so a
-        fault shows as soon as its line has arrived, and the buffer stays
-        within the limits on line length and header count.
-        """
-        buffer = self._buffer
-        while (span := _head_span(buffer)) is None:
-            if buffer:
-                *lines, partial = bytes(buffer).split(b"\n")
-                _parse_head(lines, status_line)
-                if len(partial) >= _MAX_LINE:
-                    raise ProtocolError(f"reply line over {_MAX_LINE} bytes")
-            if not self._fill():
-                raise ProtocolError("connection closed inside the reply head")
-        start, end = span
-        # An empty head still has an (empty, malformed) status line.
-        lines = bytes(buffer[:start]).split(b"\n") if start or status_line else []
-        del buffer[:end]
-        return _parse_head(lines, status_line)
-
-    def _read_line(self) -> bytes:
-        """The next line without its end, refused past ``_MAX_LINE`` bytes."""
-        buffer = self._buffer
-        while (end := buffer.find(b"\n", 0, _MAX_LINE)) < 0:
-            if len(buffer) >= _MAX_LINE:
-                raise ProtocolError(f"reply line over {_MAX_LINE} bytes")
-            if not self._fill():
-                raise ProtocolError("connection closed inside the reply head")
-        line = bytes(buffer[:end]).removesuffix(b"\r")
-        del buffer[: end + 1]
-        return line
-
-    def _read_exactly(self, size: int) -> bytes:
-        buffer = self._buffer
-        while len(buffer) < size:
-            if not self._fill():
-                raise ProtocolError(f"connection closed inside the reply body ({len(buffer)} of {size} bytes)")
-        data = bytes(buffer[:size])
-        del buffer[:size]
-        return data
+        return _Reply(status, reason.decode("latin-1").strip(), reply_headers, _decoded(body, encoding))
 
     def _read_body(self, version, status, headers) -> tuple[bytes, bool]:
         """The body, raw as sent, and whether the connection stays open."""
@@ -224,23 +186,25 @@ class KeptAliveConnection:
             if headers["transfer-encoding"].lower() != "chunked":
                 raise ProtocolError(f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}")
             return self._read_chunked(), keep_alive
+        reader = self._reader
         length = headers.get("content-length")
         if length is None:
-            while self._fill():  # the body runs to the end of the stream
-                if len(self._buffer) > _MAX_BODY:
+            while reader.fill():  # the body runs to the end of the stream
+                if len(reader.buffer) > _MAX_BODY:
                     raise ProtocolError(f"reply body over {_MAX_BODY} bytes")
-            return self._read_exactly(len(self._buffer)), False
+            return reader.exactly(len(reader.buffer)), False
         # Refused unread, as the server refuses a request body; over 20 digits is not parsed.
         if not length.isdecimal() or len(length) > 20:
             raise ProtocolError(f"malformed Content-Length {length[:200]!r}")
         if int(length) > _MAX_BODY:
             raise ProtocolError(f"reply body over {_MAX_BODY} bytes")
-        return self._read_exactly(int(length)), keep_alive
+        return reader.exactly(int(length)), keep_alive
 
     def _read_chunked(self) -> bytes:
+        reader = self._reader
         body = bytearray()
         while True:
-            size = self._read_line().partition(b";")[0].strip()
+            size = reader.line().partition(b";")[0].strip()
             if not size or size.strip(b"0123456789abcdefABCDEF"):
                 raise ProtocolError(f"malformed chunk size {size[:200]!r}")
             size = int(size, 16)
@@ -248,56 +212,11 @@ class KeptAliveConnection:
                 break
             if len(body) + size > _MAX_BODY:
                 raise ProtocolError(f"reply body over {_MAX_BODY} bytes")
-            body += self._read_exactly(size)
-            if self._read_line():
+            body += reader.exactly(size)
+            if reader.line():
                 raise ProtocolError("chunk data not followed by a line end")
-        self._read_head(status_line=False)  # trailers, read and dropped
+        reader.headers()  # trailers, read and dropped
         return bytes(body)
-
-
-def _head_span(buffer: bytearray) -> tuple[int, int] | None:
-    """Where the head at the start of ``buffer`` ends: the end of its last
-    line and the end of the empty line after it; None until that empty line
-    is in the buffer. The first empty line ends it, with or without its
-    carriage return."""
-    if buffer.startswith((b"\n", b"\r\n")):
-        return 0, buffer.index(b"\n") + 1
-    match = _HEAD_END.search(buffer)
-    return None if match is None else match.span()
-
-
-def _parse_head(lines: list[bytes], status_line: bool) -> tuple[tuple | None, dict[str, str]]:
-    """A head's lines, each without its line feed, read in order: the status
-    line when ``status_line`` is set, then up to ``_MAX_HEADERS`` headers.
-    The first fault in that order is a ProtocolError."""
-    status = None
-    if status_line and lines:
-        line = _unended(lines[0])
-        version, _, rest = line.partition(b" ")
-        code, _, reason = rest.partition(b" ")
-        match = _HTTP_VERSION.fullmatch(version)
-        if match is None or match[1] != b"1" or len(code) != 3 or not code.isdigit():
-            raise ProtocolError(f"malformed status line {line[:200]!r}")
-        status = (1, int(match[2])), int(code), reason.decode("latin-1").strip()
-    headers: dict[str, str] = {}
-    for line in lines[status_line : status_line + _MAX_HEADERS + 1]:
-        line = _unended(line)
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon:
-            raise ProtocolError(f"malformed header line {line[:200]!r}")
-        name, value = name.strip().lower(), value.strip()
-        previous = headers.get(name)
-        headers[name] = value if previous in (None, value) else f"{previous}, {value}"
-    if len(lines) - status_line > _MAX_HEADERS:
-        raise ProtocolError(f"more than {_MAX_HEADERS} headers")
-    return status, headers
-
-
-def _unended(line: bytes) -> bytes:
-    """``line`` without its carriage return, refused past ``_MAX_LINE`` bytes."""
-    if len(line) >= _MAX_LINE:
-        raise ProtocolError(f"reply line over {_MAX_LINE} bytes")
-    return line.removesuffix(b"\r")
 
 
 class _Response(requests.Response):

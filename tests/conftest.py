@@ -1,9 +1,10 @@
 """Shared test helpers: step factories, a scripted backend, a server
-stopper, and the acceptance-criteria summary printer."""
+stopper, split wire delivery, and the acceptance-criteria summary printer."""
 
 from __future__ import annotations
 
 import sys
+import time
 
 from rsp.core import ReasoningState, Step
 from rsp.policy import PolicyValueBackend, Proposal, ProposalRequest, ValuePrediction
@@ -28,6 +29,16 @@ def stop_server(server) -> None:
     socket and (for the reference server) its kept-alive connections."""
     server.shutdown()
     server.server_close()
+
+
+def send_split(sock, data: bytes) -> None:
+    """Send ``data`` with each of its lines cut in two, pausing between the
+    pieces, so the reader receives every line in parts."""
+    for line in data.splitlines(keepends=True):
+        for piece in (line[: len(line) // 2], line[len(line) // 2 :]):
+            if piece:
+                sock.sendall(piece)
+                time.sleep(0.001)
 
 
 def code_step(

@@ -11,13 +11,22 @@ import json
 import re
 import socket
 import threading
+import time
 import zlib
 
 import pytest
 import requests
 
-from conftest import make_state
-from rsp.policy import _MAX_BODY, _MAX_HEADERS, _MAX_LINE, ProposalRequest, RemoteBackend, TransportError
+from conftest import make_state, send_split
+from rsp.policy import (
+    _MAX_BODY,
+    _MAX_HEADERS,
+    _MAX_LINE,
+    ProposalRequest,
+    RemoteBackend,
+    TransportError,
+    _WireReader,
+)
 
 VALUE = b'{"value": 0.25}'
 
@@ -41,13 +50,15 @@ class ScriptedServer:
 
     An entry is ``(reply bytes, then)``: after sending the bytes, ``"keep"``
     waits for the next request on the connection, ``"close"`` closes it and
-    ``"hang"`` reads nothing more until the server stops. ``requests`` holds
-    each request's raw bytes, head and body; ``connections`` counts accepted
+    ``"hang"`` reads nothing more until the server stops. With ``split``
+    each reply is sent with every line cut in two. ``requests`` holds each
+    request's raw bytes, head and body; ``connections`` counts accepted
     connections; ``closed`` is set whenever a connection has ended.
     """
 
-    def __init__(self, script, host="127.0.0.1", family=socket.AF_INET):
+    def __init__(self, script, host="127.0.0.1", family=socket.AF_INET, split=False):
         self.script = list(script)
+        self.split = split
         self.requests: list[bytes] = []
         self.connections = 0
         self.closed = threading.Event()
@@ -89,7 +100,10 @@ class ScriptedServer:
                     length = re.search(rb"(?i)\r\ncontent-length: *(\d+)", head)
                     self.requests.append(head + stream.read(int(length[1]) if length else 0))
                     reply, then = self.script.pop(0)
-                    conn.sendall(reply)
+                    if self.split:
+                        send_split(conn, reply)
+                    else:
+                        conn.sendall(reply)
                     if then == "close":
                         return
                     if then == "hang":
@@ -195,24 +209,29 @@ def test_the_reply_decides_whether_the_connection_is_kept(scripted, sleeps, vers
     assert sleeps == []
 
 
+# (id, reply bytes, what the server does next). Each is sent whole under its
+# id and with every line cut in two under its id with "-split".
+READABLE_REPLIES = [
+    ("chunked", _reply(_chunked(VALUE), "Transfer-Encoding: chunked", length=False), "keep"),
+    ("gzip", _reply(gzip.compress(VALUE), "Content-Encoding: gzip"), "keep"),
+    ("deflate", _reply(zlib.compress(VALUE), "Content-Encoding: deflate"), "keep"),
+    ("raw-deflate", _reply(zlib.compress(VALUE)[2:-4], "Content-Encoding: deflate"), "keep"),
+    ("chunked-gzip", _reply(_chunked(gzip.compress(VALUE)), "Transfer-Encoding: chunked", "Content-Encoding: gzip",
+                            length=False), "keep"),
+    ("to-eof", _reply(VALUE, length=False), "close"),
+    ("100-continue", b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(), "keep"),
+    ("longest-header-line", _reply(VALUE, "X-Pad: " + "a" * (_MAX_LINE - 9)), "keep"),
+    ("most-headers", _reply(VALUE, *[f"X-Pad-{i}: a" for i in range(_MAX_HEADERS - 1)]), "keep"),
+]
+
+
 @pytest.mark.parametrize(
-    "reply, then",
-    [
-        (_reply(_chunked(VALUE), "Transfer-Encoding: chunked", length=False), "keep"),
-        (_reply(gzip.compress(VALUE), "Content-Encoding: gzip"), "keep"),
-        (_reply(zlib.compress(VALUE), "Content-Encoding: deflate"), "keep"),
-        (_reply(zlib.compress(VALUE)[2:-4], "Content-Encoding: deflate"), "keep"),
-        (_reply(_chunked(gzip.compress(VALUE)), "Transfer-Encoding: chunked", "Content-Encoding: gzip", length=False), "keep"),
-        (_reply(VALUE, length=False), "close"),
-        (b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(), "keep"),
-        (_reply(VALUE, "X-Pad: " + "a" * (_MAX_LINE - 9)), "keep"),
-        (_reply(VALUE, *[f"X-Pad-{i}: a" for i in range(_MAX_HEADERS - 1)]), "keep"),
-    ],
-    ids=["chunked", "gzip", "deflate", "raw-deflate", "chunked-gzip", "to-eof", "100-continue",
-         "longest-header-line", "most-headers"],
+    "reply, then, split",
+    [pytest.param(reply, then, False, id=name) for name, reply, then in READABLE_REPLIES]
+    + [pytest.param(reply, then, True, id=f"{name}-split") for name, reply, then in READABLE_REPLIES],
 )
-def test_replies_the_client_reads(scripted, reply, then):
-    server = scripted([(reply, then)])
+def test_replies_the_client_reads(scripted, reply, then, split):
+    server = scripted([(reply, then)], split=split)
     assert RemoteBackend(server.url).predict_value(make_state()).value == 0.25
 
 
@@ -231,6 +250,11 @@ def test_replies_the_client_reads(scripted, reply, then):
         (b"HTTP/2.0 200 OK\r\n\r\n", "close", "malformed status line"),
         (b"<html>oops</html>\r\n\r\n", "close", "malformed status line"),
         (_reply(VALUE, "no colon here"), "keep", "malformed header line"),
+        (_reply(VALUE, ": 15"), "keep", "malformed header line"),
+        (_reply(VALUE, "Content-Length : 15"), "keep", "malformed header line"),
+        (_reply(VALUE, "Content-Length\t: 15"), "keep", "malformed header line"),
+        (_reply(VALUE, "Content Length: 15"), "keep", "malformed header line"),
+        (_reply(VALUE, "X-A: 1", " X-B: 2"), "keep", "malformed header line"),
         (_reply(VALUE, "Content-Length: 3"), "keep", "malformed Content-Length"),
         (_reply(VALUE, "X-Pad: " + "a" * (_MAX_LINE - 8)), "keep", f"reply line over {_MAX_LINE} bytes"),
         (_reply(VALUE, *[f"X-Pad-{i}: a" for i in range(_MAX_HEADERS)]), "keep", f"more than {_MAX_HEADERS} headers"),
@@ -244,7 +268,8 @@ def test_replies_the_client_reads(scripted, reply, then):
     ],
     ids=["unknown-encoding", "not-gzip", "gzip-cut-short", "unknown-transfer-encoding", "bad-chunk-size",
          "cut-in-body", "cut-in-head", "no-reply", "status-without-code", "http-2", "not-http",
-         "header-without-colon", "conflicting-lengths", "header-line-too-long", "too-many-headers",
+         "header-without-colon", "header-with-empty-name", "space-before-colon", "tab-before-colon",
+         "space-in-name", "folded-line", "conflicting-lengths", "header-line-too-long", "too-many-headers",
          "body-too-large", "length-too-long", "chunked-body-too-large", "to-eof-body-too-large",
          "chunk-without-line-end"],
 )
@@ -257,6 +282,32 @@ def test_replies_the_client_refuses(scripted, reply, then, error):
         RemoteBackend(server.url, timeout=30, max_attempts=1).predict_value(make_state())
     assert isinstance(failure.value.__cause__, requests.ConnectionError)
     assert error in str(failure.value.__cause__)
+
+
+class _OneBytePerRecv:
+    """A socket stand-in whose every ``recv`` returns the next one byte."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data, self._at = data, 0
+
+    def recv(self, size: int) -> bytes:
+        self._at += 1
+        return self._data[self._at - 1 : self._at]
+
+
+def test_a_head_arriving_one_byte_per_recv_is_read_in_linear_time():
+    # Over 100 KB in about 10**5 receives: a reader that scans its whole
+    # buffer again on each receive does about 5 * 10**9 byte steps here and
+    # takes tens of seconds, a linear one a fraction of a second. The
+    # reader is the one both ends use, so this covers the server too.
+    head = b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-Pad-%02d: %s\r\n" % (i, b"a" * 1024) for i in range(_MAX_HEADERS))
+    assert len(head) > 100_000
+    reader = _WireReader(_OneBytePerRecv(head + b"\r\n" + VALUE), "reply")
+    started = time.thread_time()
+    assert reader.line() == b"HTTP/1.1 200 OK"
+    assert reader.headers() == [(f"x-pad-{i:02d}", "a" * 1024) for i in range(_MAX_HEADERS)]
+    assert reader.exactly(len(VALUE)) == VALUE
+    assert time.thread_time() - started < 2.0
 
 
 def test_a_refused_reply_closes_the_connection_and_the_retry_succeeds(scripted, sleeps):

@@ -17,7 +17,7 @@ import pytest
 
 from rsp.policy import _MAX_BODY, VERSION_HEADER, WIRE_VERSION, serve_backend
 from rsp.toyenv import Mode, ToyBackend, toy_corpus, toy_state_decoder
-from conftest import stop_server
+from conftest import send_split, stop_server
 
 STATE = toy_corpus(1, 0)[0].root_state()
 BODY = json.dumps({"state": STATE.render()}).encode()
@@ -78,9 +78,12 @@ def post(path="/value", body=BODY, version="HTTP/1.1", headers=()) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
-def _refused_with_close(server, data: bytes) -> int:
+def _refused_with_close(server, data: bytes, delivery: str = "whole") -> int:
     with Connection(server) as connection:
-        connection.send(data)
+        if delivery == "split":
+            send_split(connection.sock, data)
+        else:
+            connection.send(data)
         code, headers, _ = connection.reply()
         assert headers.get("connection", "").lower() == "close"
         assert connection.closed_by_server()
@@ -91,35 +94,44 @@ def _over_the_limit(length) -> bytes:
     return f"POST /value HTTP/1.1\r\nContent-Length: {length}\r\nExpect: 100-continue\r\n\r\n".encode()
 
 
+# (id, request bytes, status). Each is sent whole under its id and, when
+# under 64 KiB, with every line cut in two under its id with "-split"; the
+# status must not depend on how the bytes arrive. A refused header line
+# ends its request, so the server has read all of it when it answers.
+PROTOCOL_ERRORS = [
+    ("request-line-over-65536-bytes", b"POST /" + b"v" * 65536, 414),
+    ("four-word-request-line", b"POST /value extra HTTP/1.1\r\n", 400),
+    ("header-line-over-65536-bytes", b"POST /value HTTP/1.1\r\nX-Long: " + b"h" * 65536, 431),
+    ("over-100-headers", b"POST /value HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)), 431),
+    ("get", b"GET /value HTTP/1.1\r\n\r\n", 501),
+    ("put", b"PUT /value HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    # no body follows a length over the limit, and the 413 comes before any 100 Continue
+    ("content-length-10**30", _over_the_limit(10**30), 413),
+    ("content-length-over-the-limit", _over_the_limit(_MAX_BODY + 1), 413),
+    ("content-length-of-5000-digits", _over_the_limit("9" * 5000), 413),
+    # the header-line rule (RFC 9112 sections 5.1 and 5.2)
+    ("header-without-colon", b"POST /value HTTP/1.1\r\nno colon here\r\n", 400),
+    ("header-with-empty-name", b"POST /value HTTP/1.1\r\n: 5\r\n", 400),
+    ("space-before-colon", b"POST /value HTTP/1.1\r\nContent-Length : 5\r\n", 400),
+    ("tab-before-colon", b"POST /value HTTP/1.1\r\nContent-Length\t: 5\r\n", 400),
+    ("space-in-name", b"POST /value HTTP/1.1\r\nContent Length: 5\r\n", 400),
+    ("folded-line", b"POST /value HTTP/1.1\r\nX-A: 1\r\n X-B: 2\r\n", 400),
+    ("folded-line-after-tab", b"POST /value HTTP/1.1\r\nX-A: 1\r\n\tContent-Length: 5\r\n", 400),
+]
+
+
 @pytest.mark.parametrize(
-    "data, code",
-    [
-        (b"POST /" + b"v" * 65536, 414),
-        (b"POST /value extra HTTP/1.1\r\n", 400),
-        (b"POST /value HTTP/1.1\r\nX-Long: " + b"h" * 65536, 431),
-        (b"POST /value HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)), 431),
-        (b"GET /value HTTP/1.1\r\n\r\n", 501),
-        (b"PUT /value HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
-        # no body follows a length over the limit, and the 413 comes before any 100 Continue
-        (_over_the_limit(10**30), 413),
-        (_over_the_limit(_MAX_BODY + 1), 413),
-        (_over_the_limit("9" * 5000), 413),
-    ],
-    ids=[
-        "request-line-over-65536-bytes",
-        "four-word-request-line",
-        "header-line-over-65536-bytes",
-        "over-100-headers",
-        "get",
-        "put",
-        "content-length-10**30",
-        "content-length-over-the-limit",
-        "content-length-of-5000-digits",
+    "data, code, delivery",
+    [pytest.param(data, code, "whole", id=name) for name, data, code in PROTOCOL_ERRORS]
+    + [
+        pytest.param(data, code, "split", id=f"{name}-split")
+        for name, data, code in PROTOCOL_ERRORS
+        if len(data) < 65536
     ],
 )
-def test_protocol_errors_are_answered_and_close(served, data, code):
+def test_protocol_errors_are_answered_and_close(served, data, code, delivery):
     server, _ = served
-    assert _refused_with_close(server, data) == code
+    assert _refused_with_close(server, data, delivery) == code
 
 
 @pytest.mark.parametrize(
@@ -245,12 +257,19 @@ def test_pipelined_requests_are_answered_in_order_on_one_connection(served):
     assert len(json.loads(replies[1][2])["proposals"]) == 2
 
 
-def test_a_request_cut_off_inside_its_headers_gets_no_reply_and_is_closed(served):
+def test_a_request_cut_short_gets_no_reply_and_is_closed(served):
+    # RFC 9112 section 6.3: a message that ends before its Content-Length is incomplete
     server, _ = served
-    with Connection(server) as connection:
-        connection.send(b"POST /value HTTP/1.1\r\nContent-Le")
-        connection.sock.shutdown(socket.SHUT_WR)
-        assert connection.stream.read() == b""
+    for data, replies in [
+        (b"POST /val", b""),
+        (b"POST /value HTTP/1.1\r\nContent-Le", b""),
+        (post()[:-10], b""),
+        (post(headers=["Expect: 100-continue"])[:-10], b"HTTP/1.1 100 Continue\r\n\r\n"),
+    ]:
+        with Connection(server) as connection:
+            connection.send(data)
+            connection.sock.shutdown(socket.SHUT_WR)
+            assert connection.stream.read() == replies, data
 
 
 def test_a_request_sent_one_byte_at_a_time_is_served(served):
