@@ -1,9 +1,10 @@
 """Domain types shared by every other module.
 
 A reasoning attempt is a question followed by a sequence of rendered steps.
-Each step is either a code step (analysis + code + execution output) or an
-answer step (analysis + final answer). States are immutable; the transition
-is plain text concatenation.
+A step is its text and its generation log-probability. Its text is either a
+code step (analysis + code + execution output) or an answer step (analysis +
+final answer), and one reader of its final block tells which, and reads the
+answer. States are immutable; the transition is plain text concatenation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ContractViolation(EngineError):
 
 
 class MalformedStepError(EngineError):
-    """An answer step does not carry a recognizable final answer."""
+    """A step text that cannot be read one way."""
 
 
 STEP_OPEN = "<step>"
@@ -60,8 +61,31 @@ def render_answer_step(analysis: str, answer: str) -> str:
     )
 
 
-_CODE_OUTPUT_RE = re.compile(r"</code>\n<p>\n(.*)\n</p>\n</step>\Z", re.S)
+# Where render_answer_step's answer block and render_code_step's output block
+# open, and where both close the step.
+_ANSWER_OPEN = f"\n</p>\n<p>\n{FINAL_ANSWER_MARKER}"
+_OUTPUT_OPEN = "\n</code>\n<p>\n"
+_BLOCK_CLOSE = f"\n</p>\n{STEP_CLOSE}"
+_CODE_OUTPUT_RE = re.compile(f"{re.escape(_OUTPUT_OPEN)}(.*){re.escape(_BLOCK_CLOSE)}\\Z", re.S)
 _EXCEPTION_LINE_RE = re.compile(r"[\w.]*(?:Error|Exception)(?::|\Z)")
+
+
+def _read_final_block(text: str) -> Answer | None:
+    """The answer of an answer step's text, None for a code step's.
+
+    A text is an answer step when it holds the answer block's opening; its
+    answer is all from there to the closing. A text with two output
+    openings, or with an answer opening twice, beside an output opening or
+    not closed as a block, could be read two ways: MalformedStepError.
+    """
+    if text.count(_OUTPUT_OPEN) > 1:
+        raise MalformedStepError("step text holds two code output blocks")
+    if _ANSWER_OPEN not in text:
+        return None
+    start = text.find(_ANSWER_OPEN) + len(_ANSWER_OPEN)
+    if _OUTPUT_OPEN in text or _ANSWER_OPEN in text[start:] or not text.endswith(_BLOCK_CLOSE):
+        raise MalformedStepError("step text holds an answer block that is not its one final block")
+    return normalize_answer(text[start : -len(_BLOCK_CLOSE)])
 
 
 @dataclass(frozen=True)
@@ -72,27 +96,28 @@ class Step:
     assigned to the step text; it must be <= 0 so that the derived prior
     exp(mean_log_prob) lands in (0, 1].
 
-    The rest is derived from the text, which is the whole step: ``answer``
-    at construction (an answer step's final answer, MalformedStepError
-    without the marker, None for a code step), and ``contains_code``,
-    ``code_output`` and ``code_errored`` on first read.
+    The rest is derived from the text, which is the whole step: ``kind`` and
+    ``answer`` (an answer step's final answer, None for a code step) at
+    construction, and ``contains_code``, ``code_output`` and
+    ``code_errored`` on first read. A text with ``<step>`` anywhere but at
+    its start or ``</step>`` anywhere but at its end is a ContractViolation,
+    and one that cannot be read one way a MalformedStepError.
     """
 
-    kind: StepKind
     text: str
-    mean_log_prob: float
+    mean_log_prob: float = 0.0
+    kind: StepKind = field(init=False, compare=False)
     answer: Answer | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise ContractViolation("step text must be non-empty")
-        if not self.text.startswith(STEP_OPEN) or not self.text.endswith(STEP_CLOSE):
-            raise ContractViolation(
-                f"step text must be delimited by {STEP_OPEN}...{STEP_CLOSE}"
-            )
+        text = self.text
+        # <step> only at the start, and the first </step> found at the end
+        if text.rfind(STEP_OPEN) != 0 or not 0 < text.find(STEP_CLOSE) == len(text) - len(STEP_CLOSE):
+            raise ContractViolation(f"step text must be one {STEP_OPEN}...{STEP_CLOSE} block, with neither tag inside")
         if self.mean_log_prob > 0.0:
             raise ContractViolation("mean_log_prob must be <= 0")
-        answer = extract_answer_text(self.text) if self.kind is StepKind.ANSWER else None
+        answer = _read_final_block(text)
+        object.__setattr__(self, "kind", StepKind.CODE if answer is None else StepKind.ANSWER)
         object.__setattr__(self, "answer", answer)
 
     @property
@@ -118,37 +143,15 @@ class Step:
         return bool(_EXCEPTION_LINE_RE.match(last_line))
 
     @classmethod
-    def from_text(
-        cls, text: str, mean_log_prob: float = 0.0, kind: StepKind | None = None
-    ) -> "Step":
-        """Parse one rendered step block; the single step-text codec.
-
-        ``kind`` defaults to ANSWER when the text carries the final-answer
-        marker and CODE otherwise; every other field but ``mean_log_prob``
-        is derived from the text.
-        """
-        if kind is None:
-            kind = StepKind.ANSWER if FINAL_ANSWER_MARKER in text else StepKind.CODE
-        return cls(kind=kind, text=text, mean_log_prob=mean_log_prob)
-
-    @classmethod
     def code_step(
         cls, analysis: str, code: str, output: str, mean_log_prob: float
     ) -> "Step":
         """A step as ``render_code_step`` writes it; ``output`` decides ``code_errored``."""
-        return cls(
-            kind=StepKind.CODE,
-            text=render_code_step(analysis, code, output),
-            mean_log_prob=mean_log_prob,
-        )
+        return cls(render_code_step(analysis, code, output), mean_log_prob)
 
     @classmethod
     def answer_step(cls, analysis: str, answer: str, mean_log_prob: float) -> "Step":
-        return cls(
-            kind=StepKind.ANSWER,
-            text=render_answer_step(analysis, answer),
-            mean_log_prob=mean_log_prob,
-        )
+        return cls(render_answer_step(analysis, answer), mean_log_prob)
 
 
 @dataclass(frozen=True)
@@ -307,22 +310,6 @@ def log_prior(prior: float) -> float:
     """Mean log-prob whose ``Step.prior`` is ``prior``; exactly 0 for a
     certain step, so that round trip stays at prior 1."""
     return math.log(prior) if prior < 1.0 else 0.0
-
-
-def extract_answer_text(text: str) -> Answer:
-    """Parse the final answer out of rendered answer-step text.
-
-    Raises MalformedStepError when the final-answer marker is absent,
-    surfacing generator bugs early.
-    """
-    idx = text.find(FINAL_ANSWER_MARKER)
-    if idx < 0:
-        raise MalformedStepError("answer step without final-answer marker")
-    tail = text[idx + len(FINAL_ANSWER_MARKER):]
-    end = tail.find("\n</p>")
-    if end >= 0:
-        tail = tail[:end]
-    return normalize_answer(tail)
 
 
 def is_terminal(state: ReasoningState, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:

@@ -23,7 +23,6 @@ from .core import (
     ReasoningState,
     Reward,
     Step,
-    StepKind,
     apply_step,
     as_answer,
     is_terminal,
@@ -445,7 +444,8 @@ def snapshot_to_tree(doc) -> SearchTree:
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
     negative ``simulations_run`` or ``total_backups``, a second root, a
     repeated node id, a parent that is not an earlier node, a non-root node
-    without a step, a root with a step kind, negative visits, ``|total_value| > visits``, a
+    without a step, a root with a step kind, a ``step_kind`` other than its
+    text's, negative visits, ``|total_value| > visits``, a
     ``model_value`` outside [-1, 1], a depth other than its path's step
     count (0 at the root) or a ``q`` other than ``total_value / visits``
     (null at zero visits) is a SnapshotError. So is a node that breaks the
@@ -521,11 +521,11 @@ def snapshot_to_tree(doc) -> SearchTree:
                     raise SnapshotError("non-root node without a parent")
                 if parent.terminal:
                     raise SnapshotError(f"node {node_id} sits under terminal node {parent_id}")
-                step = Step.from_text(
-                    entry["step_text"],
-                    log_prior(entry["prior"]),
-                    StepKind(entry["step_kind"]),
-                )
+                step = Step(entry["step_text"], log_prior(entry["prior"]))
+                if entry["step_kind"] != step.kind.value:
+                    raise SnapshotError(
+                        f"node {node_id} has step kind {entry['step_kind']!r}, but its text is of kind {step.kind.value!r}"
+                    )
                 state = apply_step(parent.state, step, config.max_depth)
             if entry["depth"] != state.depth:
                 raise SnapshotError(

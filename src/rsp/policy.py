@@ -158,21 +158,25 @@ def _step_from_wire(payload) -> Step:
     step kind, ``text`` a string, ``mean_log_prob`` a finite number,
     ``contains_code`` and ``code_errored`` booleans when present and
     ``code_output`` a string or null. Anything else is a TransportError. A
-    proposal that reads but breaks a step's contract, an answer step
-    without a final answer included, is a ContractViolation."""
-    # The answer and code fields are parsed from the text; a v1 payload's are
-    # not read (its code fields are kind-checked), so they cannot disagree.
+    proposal that reads but breaks a step's contract, a text that cannot be
+    read one way or a ``kind`` other than its text's included, is a
+    ContractViolation."""
+    # The kind, answer and code fields are read from the text; a v1 payload's
+    # are checked, never read, so they cannot disagree.
     try:
         kind = StepKind(json_field(payload, "kind", (str,)))
         text = json_field(payload, "text", (str,))
         mean_log_prob = float(json_field(payload, "mean_log_prob", (float,)))
         for key, kinds in (("contains_code", (bool,)), ("code_errored", (bool,)), ("code_output", (str, None))):
             json_field(payload, key, kinds, None)
-        return Step(kind=kind, text=text, mean_log_prob=mean_log_prob)
+        step = Step(text, mean_log_prob)
     except ValueError as exc:  # a field json_field refuses, or an unknown kind
         raise TransportError(f"malformed proposal: {exc}") from None
     except MalformedStepError as exc:
         raise ContractViolation(str(exc)) from None
+    if step.kind is not kind:
+        raise ContractViolation(f"proposal of kind {kind.value!r} has the text of kind {step.kind.value!r}")
+    return step
 
 
 def _step_to_wire(step: Step) -> dict:
@@ -588,8 +592,8 @@ class _BackendRequestHandler(socketserver.BaseRequestHandler):
         try:
             while self._serve_one():
                 pass
-        except _CutShort:
-            pass  # an incomplete request is not served (RFC 9112 section 6.3)
+        except (_CutShort, ConnectionError):
+            pass  # a request cut short, by its end or a reset, is not served (RFC 9112 section 6.3)
 
     def _serve_one(self) -> bool:
         """Read one request and answer it; whether to read another."""

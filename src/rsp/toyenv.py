@@ -569,7 +569,7 @@ def toy_state_decoder(backend: ToyBackend):
         for block in _STEP_BLOCK_RE.findall(rendered):
             step = parsed.get(block)
             if step is None:
-                step = parsed[block] = Step.from_text(block)
+                step = parsed[block] = Step(block)
             steps.append(step)
         return ReasoningState(
             question_id=problem.id, question_text=problem.question_text, steps=tuple(steps)

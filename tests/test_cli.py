@@ -828,6 +828,13 @@ def _doctor_root_step_kind(doc):
     return f"root node {doc['nodes'][0]['id']} has step kind '' but no step"
 
 
+def _doctor_step_kind_not_the_texts(doc):
+    # the kind is read from the text; the field must agree with it
+    leaf = doc["nodes"][-1]
+    leaf.update(step_kind="c", step_text=render_answer_step("done", " 1"), terminal=True, reward=None)
+    return f"node {leaf['id']} has step kind 'c', but its text is of kind 'a'"
+
+
 def _doctor_negative_simulations_run(doc):
     doc["simulations_run"] = -3
     return "simulations_run is -3; a count is >= 0"
@@ -845,7 +852,7 @@ def _doctor_negative_total_backups(doc):
     [_doctor_c_puct, _doctor_step_text, _doctor_max_depth_zero, _doctor_leaf_prior_zero,
      _doctor_leaf_prior_negative, _doctor_no_nodes, _doctor_reward_without_gold,
      _doctor_answer_not_terminal, _doctor_leaf_model_value, _doctor_negative_simulations_run,
-     _doctor_negative_total_backups, _doctor_root_step_kind],
+     _doctor_negative_total_backups, _doctor_root_step_kind, _doctor_step_kind_not_the_texts],
 )
 def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
     dataset = toy_dataset(tmp_path, n=1, seed=9)

@@ -1,12 +1,14 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import answer_step, code_step, make_state
 from rsp.core import (
+    FINAL_ANSWER_MARKER,
     Answer,
     ContractViolation,
     MalformedStepError,
@@ -26,6 +28,7 @@ from rsp.core import (
     render_answer_step,
     render_code_step,
 )
+from rsp.toyenv import ToyBackend, generate_problem, toy_state_decoder
 
 
 def test_code_step_rendering_is_bit_exact():
@@ -114,7 +117,7 @@ def test_step_answer_examples():
     assert code_step().answer is None
     # parsed from the text, so a step built from its text carries the same answer
     step = answer_step("126")
-    assert Step.from_text(step.text).answer == step.answer
+    assert Step(step.text).answer == step.answer
 
 
 def test_state_answer_is_the_last_steps():
@@ -124,16 +127,6 @@ def test_state_answer_is_the_last_steps():
     state = make_state(steps=(code_step(), final))
     assert state.answer is final.answer
     assert state.answer.normalized == "7"
-
-
-def test_answer_step_without_marker_is_rejected_at_construction():
-    # hand-build an answer step whose text lacks the marker
-    with pytest.raises(MalformedStepError):
-        Step(
-            kind=StepKind.ANSWER,
-            text="<step>\n<p>\nno marker here\n</p>\n</step>",
-            mean_log_prob=-0.1,
-        )
 
 
 # Outputs render_code_step writes, and whether each reads as a failed run:
@@ -154,14 +147,14 @@ CODE_OUTPUTS = [
 
 @pytest.mark.parametrize("output, errored", CODE_OUTPUTS)
 def test_code_step_output_and_error_flag_parse_back(output, errored):
-    step = Step.from_text(render_code_step("run it", "print(x)", output), -0.5)
+    step = Step(render_code_step("run it", "print(x)", output), -0.5)
     assert step == Step.code_step("run it", "print(x)", output, -0.5)
     assert (step.contains_code, step.code_output, step.code_errored) == (True, output, errored)
 
 
 def test_step_invariants():
     with pytest.raises(ContractViolation):
-        Step(kind=StepKind.CODE, text="no tags", mean_log_prob=-0.1)
+        Step("no tags", -0.1)
     with pytest.raises(ContractViolation):
         code_step(mean_log_prob=0.5)  # log-prob must be <= 0
 
@@ -191,26 +184,99 @@ def test_log_prior_inverts_step_prior():
 
 def test_step_from_text_reads_kind_code_flag_and_answer():
     code = code_step(output="7", errored=True, mean_log_prob=-0.3)
-    parsed = Step.from_text(code.text, -0.3)
-    assert parsed == Step(kind=StepKind.CODE, text=code.text, mean_log_prob=-0.3)
+    parsed = Step(code.text, -0.3)
+    assert parsed == code and parsed.kind is StepKind.CODE
     assert (parsed.contains_code, parsed.code_output, parsed.code_errored) == (
         True, "7\nNameError: name 'x' is not defined", True
     )
     answer = answer_step("$3/6$")
-    assert Step.from_text(answer.text, answer.mean_log_prob) == answer
+    parsed = Step(answer.text, answer.mean_log_prob)
+    assert parsed == answer and parsed.kind is StepKind.ANSWER
     prose = "<step>\n<p>\nthinking\n</p>\n</step>"
-    assert Step.from_text(prose) == Step(kind=StepKind.CODE, text=prose, mean_log_prob=0.0)
+    assert Step(prose).kind is StepKind.CODE and Step(prose).mean_log_prob == 0.0
     # no code block, an answer, or a code block with no output block after it
     unrun = "<step>\n<p>\nset up\n</p>\n<code>\nx = 1\n</code>\n</step>"
     for text, code_flag in ((prose, False), (answer.text, False), (unrun, True)):
-        parsed = Step.from_text(text)
+        parsed = Step(text)
         assert (parsed.contains_code, parsed.code_output, parsed.code_errored) == (code_flag, None, False)
-    # an explicit kind wins over the marker test
-    assert Step.from_text(answer.text, kind=StepKind.ANSWER) == Step.from_text(answer.text)
-    with pytest.raises(MalformedStepError):
-        Step.from_text(prose, kind=StepKind.ANSWER)
     with pytest.raises(ContractViolation):
-        Step.from_text("no tags")
+        Step("no tags")
+
+
+def test_a_code_step_whose_output_prints_the_marker_stays_a_code_step():
+    step = Step(render_code_step("run", "print('Final Answer: 3')", "Final Answer: 3"))
+    assert (step.kind, step.answer, step.code_output) == (StepKind.CODE, None, "Final Answer: 3")
+
+
+def test_an_answer_is_read_from_the_final_block():
+    step = Step(render_answer_step("Write the result after Final Answer: as a number", " 5"))
+    assert step.kind is StepKind.ANSWER and step.answer.normalized == "5"
+
+
+@pytest.mark.parametrize("code", ["'</step><step>\n<p>\ny\n</p>\n</step>'", "</step>", "<step>"])
+def test_a_step_tag_inside_a_step_text_is_refused(code):
+    with pytest.raises(ContractViolation):
+        Step(render_code_step("run", code, "y"))
+
+
+def test_a_text_both_renderers_could_write_is_refused():
+    text = render_code_step("run", "x", "3\n</p>\n<p>\nFinal Answer: 3")
+    assert text == render_answer_step("run\n</p>\n<code>\nx\n</code>\n<p>\n3", " 3")
+    with pytest.raises(MalformedStepError):
+        Step(text)
+
+
+# Every delimiter of the step grammar, the openings of an output and an answer
+# block whole, and plain text.
+STEP_PIECES = ["<step>", "</step>", "<p>", "</p>", "<code>", "</code>", FINAL_ANSWER_MARKER, "\n", "\n</p>\n<p>\n",
+               "\n</code>\n<p>\n", " ", "x", "7"]
+
+
+def _generated_steps(seed: int, n: int = 600):
+    """Rendered code and answer steps over random parts, each with the kind,
+    answer and code output it was rendered with."""
+    rng = random.Random(seed)
+
+    def part():
+        return "".join(rng.choice(STEP_PIECES) for _ in range(rng.randrange(5)))
+
+    for _ in range(n):
+        analysis, code, output, answer = part(), part(), part(), part()
+        yield render_code_step(analysis, code, output), (StepKind.CODE, None, output)
+        yield render_answer_step(analysis, answer), (StepKind.ANSWER, normalize_answer(answer), None)
+
+
+def _step_or_none(text):
+    try:
+        return Step(text)
+    except (ContractViolation, MalformedStepError):
+        return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_rendered_step_reads_back_its_parts_or_is_refused(seed):
+    outcomes = Counter()
+    for text, rendered in _generated_steps(seed):
+        try:
+            step = Step(text)
+        except (ContractViolation, MalformedStepError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert (step.kind, step.answer, step.code_output) == rendered, text
+        outcomes[step.kind.name] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 50, outcomes  # each outcome is exercised
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_rendered_state_splits_back_into_exactly_its_steps(seed):
+    problem = generate_problem(seed)
+    decode = toy_state_decoder(ToyBackend.for_corpus([problem]))
+    steps = [step for step in (_step_or_none(text) for text, _ in _generated_steps(seed)) if step]
+    codes = [step for step in steps if step.kind is StepKind.CODE]
+    answers = [step for step in steps if step.kind is StepKind.ANSWER]
+    for i in range(0, len(codes), 3):  # three code steps, then an answer
+        state = ReasoningState(problem.id, problem.question_text, (*codes[i : i + 3], answers[i % len(answers)]))
+        assert [step.text for step in decode(state.render()).steps] == [step.text for step in state.steps]
 
 
 def test_is_correct_normalizes_raw_strings_only():

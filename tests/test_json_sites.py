@@ -106,7 +106,7 @@ def _proposal(tmp_path, field, value):
     payload = {**_step_to_wire(code_step()), field: value}
     step = _step_from_wire(payload)
     assert step.mean_log_prob == payload["mean_log_prob"] and type(step.mean_log_prob) is float
-    parsed = Step.from_text(payload["text"])
+    parsed = Step(payload["text"])
     assert (step.contains_code, step.code_errored, step.code_output) == (
         parsed.contains_code, parsed.code_errored, parsed.code_output
     )

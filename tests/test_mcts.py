@@ -33,7 +33,7 @@ from rsp.mcts import (
     snapshot_to_tree,
     tree_to_snapshot,
 )
-from rsp.policy import PolicyValueBackend, Proposal, ProposalRequest, ValuePrediction
+from rsp.policy import PolicyValueBackend, Proposal, ProposalRequest, ValuePrediction, _step_from_wire
 from rsp.toyenv import (
     ActionKind,
     Mode,
@@ -740,6 +740,12 @@ def _root_with_a_step_kind(nodes):
     nodes[0]["step_kind"] = "a"
 
 
+def _code_kind_on_an_answer(nodes):
+    # the kind is read from the text; the field must agree with it
+    _answer_leaf(nodes[-1], "28", terminal=True, reward=1.0)
+    nodes[-1]["step_kind"] = "c"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -762,6 +768,7 @@ def _root_with_a_step_kind(nodes):
         _dead_end_that_wins,
         _model_value_out_of_range,
         _root_with_a_step_kind,
+        _code_kind_on_an_answer,
     ],
 )
 def test_snapshot_rejects_inconsistent_nodes(corrupt):
@@ -774,6 +781,23 @@ def test_snapshot_rejects_inconsistent_nodes(corrupt):
     snapshot_to_tree(doc)  # the untouched document loads
     corrupt(doc["nodes"])
     with pytest.raises(SnapshotError):
+        snapshot_to_tree(doc)
+
+
+def test_an_answer_kind_on_a_text_without_an_answer_is_refused():
+    # a text without an answer block is a code step, so a kind from outside
+    # the text that calls it an answer is refused, over the wire and in a snapshot
+    text = "<step>\n<p>\nno marker here\n</p>\n</step>"
+    with pytest.raises(ContractViolation, match="kind"):
+        _step_from_wire({"kind": "a", "text": text, "mean_log_prob": -0.1})
+    problem = generate_problem(44)
+    backend = ToyBackend.for_corpus([problem], mode=Mode.ORACLE)
+    tree = build_tree(
+        problem.root_state(), problem.gold_answer, backend, SearchConfig(n_simulations=5), seed=5
+    )
+    doc = json.loads(json.dumps(tree_to_snapshot(tree)))
+    doc["nodes"][-1].update(step_kind="a", step_text=text)
+    with pytest.raises(SnapshotError, match="step kind"):
         snapshot_to_tree(doc)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import answer_step, code_step, make_state
-from rsp.core import ContractViolation, MalformedStepError, StepKind
+from rsp.core import ContractViolation, MalformedStepError, StepKind, render_answer_step, render_code_step
 from rsp.policy import (
     Proposal,
     ProposalRequest,
@@ -85,6 +85,20 @@ def test_wire_rejects_unknown_kind():
     payload["kind"] = "z"
     with pytest.raises(TransportError):
         _step_from_wire(payload)
+
+
+def test_wire_refuses_a_kind_other_than_its_texts():
+    # the kind is read from the text; the field is checked, never read
+    payload = {"kind": "c", "text": render_answer_step("a", " 5"), "mean_log_prob": 0}
+    with pytest.raises(ContractViolation, match="kind"):
+        _step_from_wire(payload)
+
+
+@pytest.mark.parametrize("kind", ["c", "a"])
+def test_wire_refuses_a_text_that_cannot_be_read_one_way(kind):
+    text = render_code_step("run", "x", "3\n</p>\n<p>\nFinal Answer: 3")
+    with pytest.raises(ContractViolation):
+        _step_from_wire({"kind": kind, "text": text, "mean_log_prob": 0})
 
 
 def test_wire_rejects_positive_logprob():

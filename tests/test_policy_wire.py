@@ -330,7 +330,7 @@ def test_remote_search_runs_past_the_default_depth_budget():
         blocks = re.findall(r"<step>.*?</step>", rendered, re.S)
         return make_state(
             question_text=rendered.partition(STEP_OPEN)[0],
-            steps=tuple(Step.from_text(block) for block in blocks),
+            steps=tuple(Step(block) for block in blocks),
         )
 
     server = serve_backend(scripted, decode)

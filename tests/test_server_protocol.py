@@ -10,6 +10,8 @@ closed.
 import json
 import re
 import socket
+import struct
+import sys
 import time
 from email.utils import parsedate_to_datetime
 
@@ -270,6 +272,28 @@ def test_a_request_cut_short_gets_no_reply_and_is_closed(served):
             connection.send(data)
             connection.sock.shutdown(socket.SHUT_WR)
             assert connection.stream.read() == replies, data
+
+
+def test_a_request_cut_short_by_a_reset_is_closed_without_an_error():
+    # a client that resets its connection mid-request has cut the request short
+    toy = ToyBackend(mode=Mode.ORACLE)
+    server = serve_backend(toy, toy_state_decoder(toy))
+    errors, finished = [], []
+    server.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+    shutdown_request = server.shutdown_request
+    server.shutdown_request = lambda request: (shutdown_request(request), finished.append(request))
+    try:
+        sock = socket.create_connection(server.server_address, timeout=10)
+        sock.sendall(b"POST /value HTTP/1.1\r\nContent-Le")
+        time.sleep(0.05)  # the server reads that much, then waits for the rest
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()  # with a zero linger time, a close sends a reset
+        deadline = time.monotonic() + 10
+        while not finished and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        stop_server(server)
+    assert len(finished) == 1 and errors == []
 
 
 def test_a_request_sent_one_byte_at_a_time_is_served(served):

@@ -146,7 +146,7 @@ def test_step_text_codec_recovers_every_toy_step():
             history, state = stack.pop()
             for action in problem.actions_at(history):
                 step = problem.step_for(action)
-                parsed = Step.from_text(step.text, step.mean_log_prob)
+                parsed = Step(step.text, step.mean_log_prob)
                 assert parsed == step
                 op = action.kind is ActionKind.OP
                 assert (parsed.contains_code, parsed.code_errored) == (op, action.errored)
