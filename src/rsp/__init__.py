@@ -62,7 +62,6 @@ from .policy import (
     RemoteBackend,
     TransportError,
     ValuePrediction,
-    serve_backend,
 )
 from .toyenv import Mode, ToyBackend, generate_problem, toy_corpus, toy_true_value
 
@@ -115,7 +114,6 @@ __all__ = [
     "sbs_decode",
     "sbs_search",
     "select_for_round",
-    "serve_backend",
     "snapshot_to_tree",
     "toy_corpus",
     "toy_true_value",

@@ -13,7 +13,8 @@ from rsp.core import ReasoningState, derive_seed, render_answer_step
 from rsp.datagen import manifest_path_for
 from rsp.inference import greedy_decode, inference_search_config, majority_vote, mcts_decode, sbs_decode
 from rsp.mcts import build_tree, tree_to_snapshot
-from rsp.policy import BACKEND_URL_ENV, serve_backend
+from rsp.policy import BACKEND_URL_ENV
+from rsp.server import serve_backend
 from rsp.toyenv import Mode, ToyBackend, corpus_to_records, toy_corpus, toy_state_decoder
 from conftest import stop_server
 

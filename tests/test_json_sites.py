@@ -15,7 +15,8 @@ import pytest
 from conftest import code_step, make_state
 from rsp.cli import EXIT_CONFIG, EXIT_DATASET, _load_config_file, _load_dataset, main
 from rsp.core import EngineError, Step
-from rsp.policy import _proposal_request_from_wire, _step_from_wire, _step_to_wire
+from rsp.policy import _step_from_wire, _step_to_wire
+from rsp.server import _proposal_request_from_wire
 
 VALUES = {
     "0": 0,

@@ -18,7 +18,6 @@ from rsp.inference import greedy_decode, majority_vote, mcts_decode, sbs_decode
 from rsp.mcts import SearchConfig, build_tree, mc_rollout_estimate
 from rsp.policy import (
     BACKEND_URL_ENV,
-    SERVER_POLL_INTERVAL,
     Proposal,
     ProposalRequest,
     RemoteBackend,
@@ -26,8 +25,8 @@ from rsp.policy import (
     VERSION_HEADER,
     WIRE_VERSION,
     _step_to_wire,
-    serve_backend,
 )
+from rsp.server import SERVER_POLL_INTERVAL, serve_backend
 from rsp.toyenv import (
     Mode,
     ToyBackend,

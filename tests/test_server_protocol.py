@@ -17,7 +17,8 @@ from email.utils import parsedate_to_datetime
 
 import pytest
 
-from rsp.policy import _MAX_BODY, VERSION_HEADER, WIRE_VERSION, serve_backend
+from rsp.policy import _MAX_BODY, VERSION_HEADER, WIRE_VERSION
+from rsp.server import serve_backend
 from rsp.toyenv import Mode, ToyBackend, toy_corpus, toy_state_decoder
 from conftest import send_split, stop_server
 
@@ -332,8 +333,8 @@ def test_the_date_is_formatted_once_a_second_and_right_across_its_boundary(serve
     server, expected = served
     now, formatted = [999_999_999.5], []
     strftime = time.strftime
-    monkeypatch.setattr("rsp.policy.time.time", lambda: now[0])
-    monkeypatch.setattr("rsp.policy.time.strftime", lambda *a: formatted.append(a) or strftime(*a))
+    monkeypatch.setattr("rsp.server.time.time", lambda: now[0])
+    monkeypatch.setattr("rsp.server.time.strftime", lambda *a: formatted.append(a) or strftime(*a))
     dates = []
     with Connection(server) as connection:
         for now[0] in (999_999_999.5, 999_999_999.999, 1_000_000_000.0, 1_000_000_000.75):

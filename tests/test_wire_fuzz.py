@@ -18,7 +18,8 @@ import pytest
 
 from conftest import answer_step, code_step, make_state, stop_server
 from rsp.core import ContractViolation
-from rsp.policy import ProposalRequest, RemoteBackend, TransportError, _step_to_wire, serve_backend
+from rsp.policy import ProposalRequest, RemoteBackend, TransportError, _step_to_wire
+from rsp.server import serve_backend
 from rsp.toyenv import Mode, ToyBackend, generate_problem, toy_state_decoder
 from test_client_transport import ScriptedServer
 
@@ -110,7 +111,7 @@ def fuzz_server(caplog):
     server = serve_backend(toy, toy_state_decoder(toy))
     faults = []
     server.handle_error = lambda request, address: faults.append(address)  # where a traceback would print
-    with caplog.at_level(logging.ERROR, logger="rsp.policy"):
+    with caplog.at_level(logging.ERROR, logger="rsp.server"):
         yield server, faults
     stop_server(server)
     assert faults == [], "a handler raised"
