@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .datagen import (
     harvest_paths,
     select_for_round,
 )
-from .inference import DECODERS, MCTS_DECODE_TEMPERATURE, q_sweep
+from .inference import DECODERS, DEFAULT_TEMPERATURES, q_sweep
 from .mcts import (
     EvaluationMode,
     SearchConfig,
@@ -246,26 +247,28 @@ def _solve_one(
         "answer": None,
         "gold": row.get("gold_answer"),
         "correct": None,
-        "elapsed_seconds": 0.0,
+        "elapsed_seconds": None,  # the decode's wall time, whether it returns or raises
         "steps": 0,
         "candidates": 0,
         "error": None,
     }
+    started = time.perf_counter()
     try:
         report = DECODERS[settings["strategy"]](
             state, backend, search, derive_seed(settings["seed"], index), settings["b1"], settings["k"]
         )
-        if dump_dir is not None:  # only mcts dumps, and it builds a tree
-            (dump_dir / _dump_name(row["id"])).write_text(
-                json.dumps(tree_to_snapshot(report.tree), ensure_ascii=False), encoding="utf-8"
-            )
     except EngineError as exc:
         entry["error"] = str(exc)
         if entry["gold"]:
             entry["correct"] = False
         return entry
+    finally:
+        entry["elapsed_seconds"] = time.perf_counter() - started
+    if dump_dir is not None:  # only mcts dumps, and it builds a tree
+        (dump_dir / _dump_name(row["id"])).write_text(
+            json.dumps(tree_to_snapshot(report.tree), ensure_ascii=False), encoding="utf-8"
+        )
     entry["answer"] = report.answer.normalized if report.answer else None
-    entry["elapsed_seconds"] = report.elapsed_seconds
     entry["steps"] = report.steps_taken
     entry["candidates"] = report.candidates_returned
     if entry["gold"]:
@@ -281,9 +284,7 @@ def run_solve(settings: dict, dataset_path: str, out: str | None, dump_trees: st
     if out:
         _check_out(out)
     search = _search_config(
-        settings,
-        EvaluationMode.MODEL_ONLY,
-        MCTS_DECODE_TEMPERATURE if settings["strategy"] == "mcts" else 1.0,
+        settings, EvaluationMode.MODEL_ONLY, DEFAULT_TEMPERATURES[settings["strategy"]]
     )
     backend = _make_backend(settings, default_toy_mode=Mode.ORACLE)
     rows = _load_dataset(dataset_path, require_gold=False)

@@ -12,7 +12,6 @@ every strategy through it.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from .core import (
@@ -35,11 +34,6 @@ from .mcts import (
 )
 from .policy import DETERMINISTIC_TEMPERATURE, PolicyValueBackend
 
-# Sampling temperature for decode-time trees, below the 1.0 that beam
-# search, majority vote and training-time trees sample at.
-MCTS_DECODE_TEMPERATURE = 0.6
-
-
 @dataclass(frozen=True)
 class BeamCandidate:
     """A partial or finished solution plus its current value score."""
@@ -51,29 +45,22 @@ class BeamCandidate:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Outcome of one decode: ``path`` is the chosen final state, and
-    ``answer`` is None when that state did not answer. ``tree`` is the
-    tree a tree decode swept, None for the other strategies."""
+    """What one decode decided: ``path`` is the chosen final state, out of
+    ``candidates_returned`` candidates. ``tree`` is the tree a tree decode
+    swept, None for the other strategies."""
 
-    answer: Answer | None
     path: ReasoningState
-    elapsed_seconds: float
-    steps_taken: int
     candidates_returned: int
     tree: SearchTree | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def answer(self) -> Answer | None:
+        """The path's answer, None when it did not answer."""
+        return self.path.answer
 
-def _finish(
-    state: ReasoningState, started: float, candidates_returned: int, tree: SearchTree | None = None
-) -> InferenceReport:
-    return InferenceReport(
-        answer=state.answer,
-        path=state,
-        elapsed_seconds=time.perf_counter() - started,
-        steps_taken=len(state.steps),
-        candidates_returned=candidates_returned,
-        tree=tree,
-    )
+    @property
+    def steps_taken(self) -> int:
+        return self.path.depth
 
 
 def _beam(start: list, width: int, extend, score) -> tuple[list, list[list]]:
@@ -156,12 +143,10 @@ def sbs_decode(
     seed: int = 0,
 ) -> InferenceReport:
     """Step-level beam search decode; returns the top-scored candidate."""
-    started = time.perf_counter()
     beam, _ = sbs_search(
         question, backend, beam_width, expansion_width, max_depth, temperature, seed
     )
-    best = beam[0]
-    return _finish(best.state, started, len(beam))
+    return InferenceReport(beam[0].state, len(beam))
 
 
 def greedy_decode(
@@ -177,11 +162,10 @@ def greedy_decode(
     """
     if is_terminal(question, max_depth):
         raise ContractViolation("cannot decode from a terminal state")
-    started = time.perf_counter()
     state = sample_path(
         question, backend, DETERMINISTIC_TEMPERATURE, max_depth, random.Random(0)
     )
-    return _finish(state, started, 1)
+    return InferenceReport(state, 1)
 
 
 def q_sweep(
@@ -207,7 +191,7 @@ def inference_search_config(**overrides) -> SearchConfig:
     lower sampling temperature used when building inference trees."""
     settings = {
         "evaluation": EvaluationMode.MODEL_ONLY,
-        "temperature": MCTS_DECODE_TEMPERATURE,
+        "temperature": DEFAULT_TEMPERATURES["mcts"],
     }
     settings.update(overrides)
     return SearchConfig(**settings)
@@ -217,11 +201,10 @@ def count_terminal_nodes(tree: SearchTree) -> int:
     return sum(1 for node in iter_nodes(tree.root) if node.terminal)
 
 
-def decode_tree(tree: SearchTree, beam_width: int = 1, started: float | None = None) -> InferenceReport:
+def decode_tree(tree: SearchTree, beam_width: int = 1) -> InferenceReport:
     """Sweep an already-built tree and report its best path and the tree."""
-    started = time.perf_counter() if started is None else started
     best, _ = q_sweep(tree.root, beam_width, tree.config.q_init)
-    return _finish(best.state, started, count_terminal_nodes(tree), tree)
+    return InferenceReport(best.state, count_terminal_nodes(tree), tree)
 
 
 def mcts_decode(
@@ -238,9 +221,8 @@ def mcts_decode(
             "decode-time trees must use model-only evaluation; rewards are "
             "unobservable at inference"
         )
-    started = time.perf_counter()
     tree = build_tree(question, None, backend, config, seed)
-    return decode_tree(tree, beam_width, started)
+    return decode_tree(tree, beam_width)
 
 
 def majority_vote(
@@ -259,7 +241,8 @@ def majority_vote(
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    started = time.perf_counter()
+    if is_terminal(question, max_depth):
+        raise ContractViolation("cannot decode from a terminal state")
     rng = random.Random(seed)
     finals: list[ReasoningState] = [
         sample_path(question, backend, temperature, max_depth, rng) for _ in range(k)
@@ -276,15 +259,16 @@ def majority_vote(
         else:
             groups.append({"answer": answer, "count": 1, "first": index})
     if not groups:
-        return _finish(finals[0], started, k)
+        return InferenceReport(finals[0], k)
     winner = max(groups, key=lambda g: (g["count"], -g["first"]))
-    return _finish(finals[winner["first"]], started, k)
+    return InferenceReport(finals[winner["first"]], k)
 
 
 # Every strategy by name, each called as
 # (question, backend, config, seed, beam_width, k). ``config`` gives the
 # proposals per step, the depth budget and the sampling temperature; greedy
 # reads only the depth budget, and mcts builds its tree under all of it.
+# Each decoder raises ContractViolation on a terminal question.
 DECODERS = {
     "greedy": lambda question, backend, config, seed, beam_width, k: greedy_decode(
         question, backend, config.max_depth
@@ -300,3 +284,8 @@ DECODERS = {
         question, backend, k, config.temperature, config.max_depth, seed
     ),
 }
+
+# The temperature each strategy samples at when none is set: decode-time
+# trees sample below the 1.0 of beam search, majority vote and training-time
+# trees, and greedy always takes the most likely step, whatever the setting.
+DEFAULT_TEMPERATURES = {"greedy": DETERMINISTIC_TEMPERATURE, "sbs": 1.0, "mcts": 0.6, "maj": 1.0}

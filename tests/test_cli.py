@@ -177,6 +177,19 @@ def test_an_integer_id_the_toy_backend_cannot_rebuild_is_a_failed_question(tmp_p
     assert second["error"] is None and second["correct"] is True
 
 
+@pytest.mark.parametrize("strategy", ["greedy", "sbs", "mcts", "maj"])
+def test_a_failed_question_reports_its_own_time(tmp_path, strategy):
+    rows = corpus_to_records(toy_corpus(3, 0)) + [{**_TOY_ROW, "id": "not-a-toy-id"}]
+    out = tmp_path / "report.json"
+    assert main(["solve", write_dataset(tmp_path, rows), "--strategy", strategy, "--out", str(out)]) == EXIT_OK
+    result = json.loads(out.read_text())
+    entries = result["reports"]
+    assert [e["error"] is None for e in entries] == [True, True, True, False]
+    for entry in entries:
+        assert isinstance(entry["elapsed_seconds"], float) and entry["elapsed_seconds"] > 0.0
+    assert result["summary"]["avg_time_s"] == sum(e["elapsed_seconds"] for e in entries) / len(entries)
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_toydata_refuses_an_empty_corpus(tmp_path, capsys, n):
     out = tmp_path / "toy.jsonl"
