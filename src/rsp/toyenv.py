@@ -396,6 +396,9 @@ class Mode(Enum):
     ORACLE = "oracle"  # exact expected reward, a perfectly trained model
 
 
+_COLD_VALUE = ValuePrediction(value=0.0)  # frozen, so every cold prediction shares it
+
+
 @dataclass
 class ToyBackend(PolicyValueBackend):
     """Policy/value provider over toy problems.
@@ -460,7 +463,7 @@ class ToyBackend(PolicyValueBackend):
 
     def predict_value(self, state: ReasoningState) -> ValuePrediction:
         if self.mode is Mode.COLD:
-            return ValuePrediction(value=0.0)
+            return _COLD_VALUE
         return ValuePrediction(value=self.true_value(state))
 
     def true_value(self, state: ReasoningState) -> float:
@@ -485,7 +488,8 @@ class _Sampler:
     The weights, their total and their running sums are computed once; every
     draw consumes the same ``random.Random(seed)`` values and does the same
     float arithmetic as sampling from scratch, so the picks depend only on
-    (actions, temperature, n, seed). Each draw reseeds its thread's one
+    (actions, temperature, n, seed). The last action left is taken without
+    a draw, which could pick nothing else. Each draw reseeds its thread's one
     ``random.Random`` with the generator's own seed, which is all that
     ``random.Random(seed)`` does after allocating for an integer seed, so
     the values are the same; with no seed it draws fresh entropy from the
@@ -529,6 +533,9 @@ class _Sampler:
         picked: list[ToyAction] = []
         alive = list(range(len(actions)))
         for _ in range(min(n, len(actions))):
+            if len(alive) == 1:  # the last action left, whatever its mark: no draw
+                picked.append(actions[alive[0]])
+                break
             total = sum(weights[i] for i in alive)
             mark = rng.random() * total
             acc = 0.0

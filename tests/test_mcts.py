@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import ScriptedBackend, answer_step, code_step, make_state
-from rsp.core import ContractViolation, Reward, StepKind, apply_step, derive_seed, render_answer_step
+from rsp.core import ContractViolation, Reward, StepKind, apply_step, as_answer, derive_seed, render_answer_step
 from rsp.datagen import FilterLevel, filter_solutions, harvest_paths
 from rsp.inference import decode_tree, inference_search_config, q_sweep
 from rsp.mcts import (
@@ -435,6 +435,90 @@ def test_visit_counts_conserve_across_a_build():
                 )
 
 
+def _reference_simulation(tree, backend):
+    """The simulation loop as first written, the reference for
+    ``run_simulation``: each new child is backed up along a fresh
+    ``path + [child]``, and the whole path is re-marked every simulation."""
+    path = select(tree)
+    leaf = path[-1]
+    children = () if leaf.terminal else expand(tree, leaf, backend)
+    for node in children or (leaf,):
+        scored = path if node is leaf else path + [node]
+        backup(scored, evaluate(node, backend, tree.config))
+        tree.total_backups += 1
+    for node in reversed(path):
+        node.exhausted = node.terminal or (
+            bool(node.children) and all(c.exhausted for c in node.children)
+        )
+    tree.simulations_run += 1
+
+
+def _marks(tree):
+    return [node.exhausted for node in iter_nodes(tree.root)]
+
+
+def _run_in_lock_step(make_backend, state, gold, config, seed):
+    """Run ``run_simulation`` and the reference loop on twin trees, as
+    ``build_tree`` would, checking after every simulation that both trees
+    snapshot alike and carry the same marks; returns the engine's tree,
+    checked against ``build_tree``'s."""
+    gold = None if gold is None else as_answer(gold)
+    engine, reference = (fresh_tree(state, config, gold, seed) for _ in range(2))
+    engine_backend, reference_backend = make_backend(), make_backend()
+    for _ in range(config.n_simulations):
+        if engine.root.exhausted:
+            break
+        run_simulation(engine, engine_backend)
+        _reference_simulation(reference, reference_backend)
+        assert tree_to_snapshot(engine) == tree_to_snapshot(reference)
+        assert _marks(engine) == _marks(reference)
+    assert reference.root.exhausted == engine.root.exhausted
+    built = build_tree(state, gold, make_backend(), config, seed)
+    assert tree_to_snapshot(built) == tree_to_snapshot(engine)
+    assert _marks(built) == _marks(engine)
+    return engine
+
+
+@pytest.mark.parametrize("max_depth", [6, 8])
+@pytest.mark.parametrize("width", [2, 3, 5])
+@pytest.mark.parametrize("evaluation", list(EvaluationMode))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_simulations_match_the_reference_loop(mode, evaluation, width, max_depth):
+    rng = random.Random(derive_seed(width, max_depth, len(mode.value), len(evaluation.value)))
+    config = SearchConfig(n_simulations=40, expansion_width=width, max_depth=max_depth, evaluation=evaluation)
+    for _ in range(3):
+        problem = generate_problem(rng.randrange(2**31))
+        gold = problem.gold_answer if evaluation is EvaluationMode.TERMINAL_REWARD else None
+        _run_in_lock_step(
+            lambda: ToyBackend.for_corpus([problem], mode=mode),
+            problem.root_state(), gold, config, rng.randrange(2**31),
+        )
+
+
+@pytest.mark.parametrize("evaluation", list(EvaluationMode))
+def test_dead_ends_below_the_root_exhaust_it_as_the_reference_loop_does(evaluation):
+    # root -> a (-> a1, a dead end at depth 2; a2 answers) and b -> b1 -> b2,
+    # a dead end at depth 3: the search runs out of leaves in a few simulations
+    root = make_state()
+    a, b = code_step(analysis="a"), code_step(analysis="b")
+    a1, a2 = code_step(analysis="a1"), answer_step("7")
+    b1, b2 = code_step(analysis="b1"), code_step(analysis="b2")
+    state_a, state_b = apply_step(root, a), apply_step(root, b)
+    state_b1 = apply_step(state_b, b1)
+    proposals = {
+        root.render(): [a, b],
+        state_a.render(): [a1, a2],
+        state_b.render(): [b1],
+        state_b1.render(): [b2],
+    }
+    values = {state_a.render(): 0.25, state_b.render(): -0.5, apply_step(state_a, a2).render(): 0.5}
+    config = SearchConfig(n_simulations=40, expansion_width=2, evaluation=evaluation)
+    tree = _run_in_lock_step(lambda: ScriptedBackend(proposals, values), root, "7", config, 5)
+    assert tree.root.exhausted and tree.simulations_run < config.n_simulations
+    dead_ends = [n for n in iter_nodes(tree.root) if n.terminal and not n.state.has_answer]
+    assert sorted(n.depth for n in dead_ends) == [2, 3]
+
+
 def test_mc_rollout_all_paths_correct_returns_one():
     problem = single_answer_problem(correct=True)
     backend = ToyBackend.for_corpus([problem])
@@ -549,6 +633,25 @@ def test_snapshot_round_trip_preserves_ranking_state():
     assert tree_to_snapshot(rebuilt) == doc
     assert rebuilt.simulations_run == tree.simulations_run
     assert rebuilt.gold_answer == tree.gold_answer
+
+
+@pytest.mark.parametrize("evaluation", list(EvaluationMode))
+def test_a_loaded_snapshot_carries_the_built_trees_marks(evaluation):
+    rng = random.Random(61)
+    trees = []
+    for mode in Mode:
+        for width in (2, 3, 5):
+            problem = generate_problem(rng.randrange(2**31))
+            config = SearchConfig(n_simulations=60, expansion_width=width, evaluation=evaluation)
+            backend = ToyBackend.for_corpus([problem], mode=mode)
+            trees.append(build_tree(problem.root_state(), problem.gold_answer, backend, config, seed=rng.randrange(2**31)))
+    problem = single_answer_problem()
+    explored = build_tree(problem.root_state(), problem.gold_answer, ToyBackend.for_corpus([problem]))
+    assert explored.root.exhausted
+    for tree in trees + [explored]:
+        loaded = snapshot_to_tree(json.loads(json.dumps(tree_to_snapshot(tree))))
+        assert _marks(loaded) == _marks(tree)
+    assert any(tree.root.exhausted for tree in trees) and not all(tree.root.exhausted for tree in trees)
 
 
 def test_snapshot_round_trip_keeps_filter_levels():
