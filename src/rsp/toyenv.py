@@ -17,12 +17,11 @@ trained value model.
 
 from __future__ import annotations
 
-import _random
 import itertools
 import math
+import os
 import random
 import re
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -412,8 +411,8 @@ class ToyBackend(PolicyValueBackend):
     entries are computed from their key alone and never mutated after
     insertion, so racing threads at worst compute an entry twice and store
     equal values, as they may each problem's normalized gold answer and
-    each action's proposal. The one reused mutable object, the sampler's
-    ``random.Random``, is one per thread and reseeded before every draw.
+    each action's proposal. A sampler's picks are a pure function of the
+    request, so it holds no generator state to share.
     """
 
     problems: dict[str, ToyProblem] = field(default_factory=dict)
@@ -474,29 +473,31 @@ class ToyBackend(PolicyValueBackend):
         return toy_true_value(problem, history)
 
 
-class _ThreadRandom(threading.local):
-    """One ``random.Random`` per thread, for the sampler to reseed."""
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_MASK64 = (1 << 64) - 1
+_UNIT = 2.0**-53
 
-    def __init__(self) -> None:
-        self.random = random.Random()
+
+def _splitmix_uniform(state: int) -> float:
+    """SplitMix64's output for ``state`` (taken mod 2**64), as a float in
+    [0, 1) from its top 53 bits."""
+    z = state & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * _UNIT
 
 
 class _Sampler:
     """Draws up to n distinct actions from one action table at one
     temperature, without replacement.
 
-    The weights, their total and their running sums are computed once; every
-    draw consumes the same ``random.Random(seed)`` values and does the same
-    float arithmetic as sampling from scratch, so the picks depend only on
-    (actions, temperature, n, seed). The last action left is taken without
-    a draw, which could pick nothing else. Each draw reseeds its thread's one
-    ``random.Random`` with the generator's own seed, which is all that
-    ``random.Random(seed)`` does after allocating for an integer seed, so
-    the values are the same; with no seed it draws fresh entropy from the
-    OS, as ``random.Random()`` does.
+    The weights, their total and their running sums are computed once. Draw
+    i of a request is SplitMix64's output i from the seed taken mod 2**64
+    (64 bits of OS entropy when the seed is None), so the picks are a pure
+    function of (actions, temperature, n, seed), whatever other calls or
+    threads do. The last action left is taken without a draw, which could
+    pick nothing else.
     """
-
-    _thread = _ThreadRandom()
 
     def __init__(self, actions: list[ToyAction], temperature: float) -> None:
         self.actions = actions
@@ -522,22 +523,24 @@ class _Sampler:
             return self.ranked[:n]
         if len(actions) <= 1:
             return actions[:n]  # the only legal move or none, whatever the draw
-        rng = self._thread.random
-        _random.Random.seed(rng, seed)
+        if seed is None:
+            seed = int.from_bytes(os.urandom(8), "little")
         if n == 1:
             # First running sum above the mark; the last action when rounding
             # leaves the mark at or above every sum.
-            chosen = bisect_right(self.cumulative, rng.random() * self.total)
+            chosen = bisect_right(self.cumulative, _splitmix_uniform(seed + _GAMMA) * self.total)
             return [actions[min(chosen, len(actions) - 1)]]
         weights = self.weights
         picked: list[ToyAction] = []
         alive = list(range(len(actions)))
+        state = seed
         for _ in range(min(n, len(actions))):
             if len(alive) == 1:  # the last action left, whatever its mark: no draw
                 picked.append(actions[alive[0]])
                 break
             total = sum(weights[i] for i in alive)
-            mark = rng.random() * total
+            state += _GAMMA
+            mark = _splitmix_uniform(state) * total
             acc = 0.0
             chosen = alive[-1]
             for i in alive:

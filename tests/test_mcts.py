@@ -671,7 +671,7 @@ def test_snapshot_round_trip_keeps_filter_levels():
             levels += [(p.solution_text(), p.filter_level) for p in filter_solutions(harvest_paths([source]))]
     assert loaded == built
     assert Counter(level for _, level in built) == {
-        FilterLevel.LEVEL1: 62, FilterLevel.LEVEL3: 17, FilterLevel.INCORRECT: 140
+        FilterLevel.LEVEL1: 65, FilterLevel.LEVEL3: 14, FilterLevel.INCORRECT: 143
     }
 
 

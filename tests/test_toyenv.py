@@ -1,10 +1,12 @@
 """Finite toy-environment tests: generation, exact values, backend modes."""
 
 import hashlib
+import itertools
 import math
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,6 +27,8 @@ from rsp.toyenv import (
     toy_corpus,
     toy_state_decoder,
     toy_true_value,
+    _GAMMA,
+    _splitmix_uniform,
 )
 
 
@@ -350,9 +354,29 @@ def test_gold_answers_are_normalizable():
         assert answer.numeric is not None
 
 
+class _SplitMix64:
+    """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), written from its
+    definition: the state starts at the seed mod 2**64, and each output adds
+    the golden gamma to it and finalizes the sum."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def random(self):
+        return (self.next() >> 11) / 2**53
+
+
 def _reference_sample(actions, n, temperature, seed):
-    """Sampling from scratch, without memoized tables: the reference the
-    backend's memoized sampler must match pick for pick."""
+    """Sampling from scratch, without memoized tables, each mark from the
+    next SplitMix64 output of the seed: the reference the backend's memoized
+    sampler must match pick for pick."""
     n = min(n, len(actions))
     if temperature <= DETERMINISTIC_TEMPERATURE:
         ranked = sorted(range(len(actions)), key=lambda i: (-actions[i].prob, i))
@@ -360,7 +384,7 @@ def _reference_sample(actions, n, temperature, seed):
     logs = [math.log(a.prob) / temperature for a in actions]
     peak = max(logs)
     weights = [math.exp(l - peak) for l in logs]
-    rng = random.Random(seed) if seed is not None else random.Random()
+    rng = _SplitMix64(seed)
     picked = []
     alive = list(range(len(actions)))
     for _ in range(n):
@@ -378,6 +402,14 @@ def _reference_sample(actions, n, temperature, seed):
     return picked
 
 
+def _table_sampler(probs, temperature=1.0, name="tbl"):
+    actions = [
+        ToyAction(label=f"op{i}", kind=ActionKind.OP, prob=p, value_before=0, value_after=i)
+        for i, p in enumerate(probs)
+    ]
+    return actions, TableProblem(name, "0", {(): actions}).sampler((), temperature)
+
+
 def test_memoized_sampler_matches_sampling_from_scratch():
     rng = random.Random(17)
     tables = []
@@ -386,31 +418,99 @@ def test_memoized_sampler_matches_sampling_from_scratch():
         tables.append([p / sum(raw) for p in raw])
     tables.append([0.5, 0.25, 0.25])  # the ties toy problems produce
     for t, probs in enumerate(tables):
-        actions = [
-            ToyAction(label=f"op{i}", kind=ActionKind.OP, prob=p, value_before=0, value_after=i)
-            for i, p in enumerate(probs)
-        ]
-        problem = TableProblem(f"tbl-{t}", "0", {(): actions})
         for temperature in (1.0, 0.7, DETERMINISTIC_TEMPERATURE):
+            actions, sampler = _table_sampler(probs, temperature, f"tbl-{t}")
             for n in (1, 2, 5, 50):
                 for seed in range(200):
-                    got = problem.sampler((), temperature).sample(n, seed)
+                    got = sampler.sample(n, seed)
                     want = _reference_sample(actions, n, temperature, seed)
                     assert got == want, (probs, temperature, n, seed)
 
 
-def test_a_reused_random_shows_in_no_draw():
-    # The sampler reseeds one Random per thread. Unseeded draws of another
-    # size between the seeded ones must leave no trace in any seeded pick.
-    actions = [
-        ToyAction(label=f"op{i}", kind=ActionKind.OP, prob=p, value_before=0, value_after=i)
-        for i, p in enumerate((0.4, 0.3, 0.2, 0.1))
+def test_the_mix_is_splitmix64():
+    # Seed 0's first four SplitMix64 outputs as published with the
+    # algorithm; the sampler's uniforms are their top 53 bits.
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    reference = _SplitMix64(0)
+    assert [reference.next() for _ in published] == published
+    assert [_splitmix_uniform((i + 1) * _GAMMA) for i in range(4)] == [
+        (out >> 11) / 2**53 for out in published
     ]
-    sampler = TableProblem("tbl-r", "0", {(): actions}).sampler((), 1.0)
-    for seed in range(300):
+    # the seed is taken mod 2**64: seeds a wrap apart pick alike
+    actions, sampler = _table_sampler([0.4, 0.3, 0.2, 0.1])
+    for seed in (0, 1, 12345, 2**63 - 1, -1, -(2**63)):
+        for n in (1, 2, 4):
+            picks = [sampler.sample(n, s) for s in (seed, seed + 2**64, seed - 2**64)]
+            assert picks[0] == picks[1] == picks[2] == _reference_sample(actions, n, 1.0, seed)
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [0.6, 0.25, 0.1, 0.05]])
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_picks_follow_the_tempered_weights_on_consecutive_seeds(probs, temperature):
+    # Consecutive seeds are the weakest input for a mix. With 20,000 seeds, a
+    # correct sampler misses 0.02 on any one frequency with probability below
+    # 2 * exp(-2 * 20000 * 0.02**2) < 1e-6 (Hoeffding); the seeds are fixed,
+    # so the test is deterministic.
+    seeds = range(20_000)
+    actions, sampler = _table_sampler(probs, temperature)
+    tempered = [p ** (1 / temperature) for p in probs]
+    weights = [w / sum(tempered) for w in tempered]
+    index = {action.label: i for i, action in enumerate(actions)}
+    firsts = Counter(index[sampler.sample(1, seed)[0].label] for seed in seeds)
+    for i, weight in enumerate(weights):
+        assert abs(firsts[i] / len(seeds) - weight) < 0.02, (i, firsts)
+    pairs = Counter(tuple(index[a.label] for a in sampler.sample(2, seed)) for seed in seeds)
+    for i, j in itertools.permutations(range(len(probs)), 2):
+        want = weights[i] * weights[j] / (1 - weights[i])
+        assert abs(pairs[i, j] / len(seeds) - want) < 0.02, ((i, j), pairs)
+
+
+def test_call_history_leaves_no_trace_in_a_seeded_pick():
+    # Unseeded calls, calls with another n or seed, and calls on another
+    # thread between seeded ones: each seeded pick is still the reference's.
+    actions, sampler = _table_sampler([0.4, 0.3, 0.2, 0.1])
+
+    def history(seed, other):
+        for args in ((other, None), (other, seed + 1), (1, None), (4, seed)):
+            sampler.sample(*args)
+
+    for seed in range(150):
         for n, other in ((1, 3), (3, 1)):
-            sampler.sample(other, None)
+            history(seed, other)
             assert sampler.sample(n, seed) == _reference_sample(actions, n, 1.0, seed), (n, seed)
+            thread = threading.Thread(target=history, args=(seed, other))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert sampler.sample(n, seed) == _reference_sample(actions, n, 1.0, seed), (n, seed)
+
+
+def test_threads_sampling_one_table_interleaved_get_the_serial_picks():
+    actions, sampler = _table_sampler([0.35, 0.25, 0.2, 0.15, 0.05], 0.7)
+    calls = [(n, seed) for n in (1, 2, 3, 5) for seed in range(0, 2**63, 2**63 // 300)]
+    serial = [sampler.sample(n, seed) for n, seed in calls]
+    results = [{} for _ in range(4)]
+
+    def work(slot):
+        order = list(range(len(calls)))
+        random.Random(slot).shuffle(order)
+        for i in order:
+            sampler.sample(calls[i][0], None)
+            results[slot][i] = sampler.sample(*calls[i])
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert [result[i] for i in range(len(calls))] == serial
 
 
 def test_toy_proposals_are_built_once_and_shared():
@@ -426,14 +526,14 @@ def test_toy_proposals_are_built_once_and_shared():
 
 def test_rollout_estimates_keep_their_pinned_bits():
     # Root states of acceptance criterion 2, with its seeds; the values were
-    # recorded before the toy sampler was memoized, so any change to a draw
-    # or to the float arithmetic shows here.
+    # recorded with the SplitMix64 sampler, so any change to a draw or to the
+    # float arithmetic shows here.
     problems = toy_corpus(20, seed=202)
     backend = ToyBackend.for_corpus(problems, mode=Mode.ORACLE)
     pinned = {
-        0: "-0x1.d810624dd2f1bp-2",
-        1: "-0x1.4bc6a7ef9db23p-3",
-        5: "-0x1.ae147ae147ae1p-3",
+        0: "-0x1.e24dd2f1a9fbep-2",
+        1: "-0x1.df3b645a1cac1p-4",
+        5: "-0x1.604189374bc6ap-3",
     }
     for index, want in pinned.items():
         problem = problems[index]
@@ -448,8 +548,8 @@ def test_rollouts_below_the_root_keep_their_pinned_bits():
     # Deeper states of acceptance criterion 2, walked from Random(202) after
     # its 20 root states. Every state below a toy root has one outcome, so
     # the estimate pins only that each path finishes; the digest of the
-    # sampled paths pins every draw. Both were recorded before the sampler
-    # reused its Random and apply_step stopped re-checking earlier steps.
+    # sampled paths pins every draw. Both were recorded with the SplitMix64
+    # sampler.
     problems = toy_corpus(20, seed=202)
     backend = ToyBackend.for_corpus(problems, mode=Mode.ORACLE)
     rng = random.Random(202)
@@ -458,9 +558,9 @@ def test_rollouts_below_the_root_keep_their_pinned_bits():
         problem = problems[rng.randrange(len(problems))]
         states.append((problem, _random_deeper_state(problem, rng)))
     pinned = {
-        21: ("-0x1.0000000000000p+0", "73434f42e884b4ad74adf7521be439e5"),
-        23: ("-0x1.0000000000000p+0", "a6ab7a0dd47c3e15a1436cb1224587ac"),
-        26: ("0x1.0000000000000p+0", "b105a3c639e8db802f724d093ddf0771"),
+        21: ("-0x1.0000000000000p+0", "0bf2811676e6c97f54780fc3ed4637b9"),
+        23: ("-0x1.0000000000000p+0", "4b43767b37c70cb03353f1a3ee79fe6e"),
+        26: ("0x1.0000000000000p+0", "87615ead8a8dacdce5a438e798bbcdfe"),
     }
     for index, (want_estimate, want_digest) in pinned.items():
         problem, state = states[index]
@@ -530,7 +630,7 @@ def test_concurrent_proposals_match_serial_ones():
 def test_concurrent_rollout_draws_match_serial_ones():
     # The rollout path: one step at temperature 1.0 per request. Four threads
     # share one backend, each interleaving unseeded requests with its seeded
-    # ones, while frequent thread switches interleave the threads' reseeds.
+    # ones, while frequent thread switches interleave the threads' draws.
     problems = toy_corpus(6, seed=22)
     serial_backend = ToyBackend.for_corpus(problems)
     rng = random.Random(22)
