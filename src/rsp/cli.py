@@ -424,7 +424,7 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
 
     lines = [
         f"snapshot: {snapshot_path}",
-        f"question: {tree.question.question_id}",
+        f"question: {tree.root.state.question_id}",
         f"simulations run: {tree.simulations_run}   "
         f"nodes: {len(nodes)}   terminal: {terminals}",
         "",
@@ -446,14 +446,12 @@ def run_inspect(snapshot_path: str, beam_width: int) -> str:
         lines.append(f"  {label:>18} {'#' * min(count, 50)} {count}")
     lines.append("")
     lines.append(f"value sweep (beam width {beam_width}):")
-    best, history = q_sweep(tree.root, beam_width, tree.config.q_init)
+    best, history = q_sweep(tree.root, beam_width)
     for level, kept in enumerate(history, start=root_depth + 1):
-        shown = ", ".join(
-            f"q={n.stats.q(tree.config.q_init):+.3f} {_step_caption(n)!r}" for n in kept
-        )
+        shown = ", ".join(f"q={n.stats.q():+.3f} {_step_caption(n)!r}" for n in kept)
         lines.append(f"  depth {level}: {shown}")
     lines.append(
-        f"best path: depth {best.depth}, q={best.stats.q(tree.config.q_init):+.3f}, "
+        f"best path: depth {best.depth}, q={best.stats.q():+.3f}, "
         f"terminal={best.terminal}"
     )
     return "\n".join(lines)

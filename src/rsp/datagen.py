@@ -92,8 +92,8 @@ def harvest_paths(trees: Sequence[SearchTree]) -> list[SolutionPath]:
                 predicted = steps[-1].answer
                 paths.append(
                     SolutionPath(
-                        question_id=tree.question.question_id,
-                        question_text=tree.question.question_text,
+                        question_id=tree.root.state.question_id,
+                        question_text=tree.root.state.question_text,
                         steps=steps,
                         predicted_answer=predicted,
                         correct=node.reward.value > 0,

@@ -168,9 +168,7 @@ def greedy_decode(
     return InferenceReport(state, 1)
 
 
-def q_sweep(
-    root: SearchNode, beam_width: int, q_init: float = 0.0
-) -> tuple[SearchNode, list[list[SearchNode]]]:
+def q_sweep(root: SearchNode, beam_width: int) -> tuple[SearchNode, list[list[SearchNode]]]:
     """Top-down sweep of a built tree by stored edge values.
 
     From the current candidate set, pool every child of the unfinished
@@ -180,9 +178,7 @@ def q_sweep(
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
-    kept, history = _beam(
-        [root], beam_width, lambda n: n.children, lambda n: n.stats.q(q_init)
-    )
+    kept, history = _beam([root], beam_width, lambda n: n.children, lambda n: n.stats.q())
     return kept[0], history
 
 
@@ -203,7 +199,7 @@ def count_terminal_nodes(tree: SearchTree) -> int:
 
 def decode_tree(tree: SearchTree, beam_width: int = 1) -> InferenceReport:
     """Sweep an already-built tree and report its best path and the tree."""
-    best, _ = q_sweep(tree.root, beam_width, tree.config.q_init)
+    best, _ = q_sweep(tree.root, beam_width)
     return InferenceReport(best.state, count_terminal_nodes(tree), tree)
 
 

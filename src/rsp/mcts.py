@@ -59,7 +59,6 @@ class SearchConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     temperature: float = 1.0
     evaluation: EvaluationMode = EvaluationMode.TERMINAL_REWARD
-    q_init: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.c_puct < math.inf:
@@ -74,8 +73,6 @@ class SearchConfig:
             raise ContractViolation(
                 f"temperature must be a finite number > 0, not {self.temperature!r}"
             )
-        if not math.isfinite(self.q_init):
-            raise ContractViolation(f"q_init must be a finite number, not {self.q_init!r}")
 
 
 @dataclass
@@ -91,8 +88,9 @@ class NodeStats:
         if not 0.0 < self.prior <= 1.0:
             raise ContractViolation("prior must lie in (0, 1]")
 
-    def q(self, q_init: float = 0.0) -> float:
-        return self.total_value / self.visits if self.visits else q_init
+    def q(self) -> float:
+        """The edge value: the mean backed-up value, 0.0 before any visit."""
+        return self.total_value / self.visits if self.visits else 0.0
 
 
 @dataclass(eq=False)
@@ -116,7 +114,6 @@ class SearchNode:
 @dataclass(eq=False)
 class SearchTree:
     root: SearchNode
-    question: ReasoningState
     config: SearchConfig
     seed: int
     gold_answer: Answer | None
@@ -125,12 +122,10 @@ class SearchTree:
     rng: random.Random = field(default_factory=random.Random, repr=False)
 
 
-def puct_score(
-    child: NodeStats, parent_visits: int, c_puct: float, q_init: float = 0.0
-) -> float:
+def puct_score(child: NodeStats, parent_visits: int, c_puct: float) -> float:
     """Exploitation (edge value) plus prior-weighted exploration bonus."""
     exploration = c_puct * child.prior * math.sqrt(parent_visits) / (1 + child.visits)
-    return child.q(q_init) + exploration
+    return child.q() + exploration
 
 
 def select(tree: SearchTree) -> list[SearchNode]:
@@ -141,7 +136,7 @@ def select(tree: SearchTree) -> list[SearchNode]:
     """
     node = tree.root
     path = [node]
-    c_puct, q_init = tree.config.c_puct, tree.config.q_init
+    c_puct = tree.config.c_puct
     while node.children:
         # puct_score inlined, with its operation order, so scores match it
         # bit for bit; strict ">" keeps the earliest of equal scores.
@@ -150,7 +145,7 @@ def select(tree: SearchTree) -> list[SearchNode]:
         for child in node.children:
             stats = child.stats
             visits = stats.visits
-            q = stats.total_value / visits if visits else q_init
+            q = stats.total_value / visits if visits else 0.0
             score = q + c_puct * stats.prior * sqrt_n / (1 + visits)
             if best is None or score > best_score:
                 best, best_score = child, score
@@ -306,7 +301,6 @@ def build_tree(
     )
     tree = SearchTree(
         root=root,
-        question=question,
         config=config,
         seed=seed,
         gold_answer=gold,
@@ -415,22 +409,24 @@ def tree_to_snapshot(tree: SearchTree) -> dict:
                 "prior": node.stats.prior,
                 "visits": node.stats.visits,
                 "total_value": node.stats.total_value,
-                "q": node.stats.q(tree.config.q_init) if node.stats.visits else None,
+                "q": node.stats.q() if node.stats.visits else None,
                 "model_value": node.stats.model_value,
                 "terminal": node.terminal,
                 "reward": node.reward.value if node.reward else None,
                 "depth": node.depth,
             }
         )
+    question = tree.root.state
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "question_id": tree.question.question_id,
-        "question_text": tree.question.question_text,
+        "question_id": question.question_id,
+        "question_text": question.question_text,
         "gold_answer": tree.gold_answer.raw if tree.gold_answer else None,
         "seed": tree.seed,
         "simulations_run": tree.simulations_run,
         "total_backups": tree.total_backups,
-        "config": {**asdict(tree.config), "evaluation": tree.config.evaluation.value},
+        # rsp-tree/1 keeps q_init, the edge value an unvisited node reads: always 0
+        "config": {**asdict(tree.config), "evaluation": tree.config.evaluation.value, "q_init": 0.0},
         "nodes": nodes,
     }
 
@@ -460,7 +456,8 @@ def snapshot_to_tree(doc) -> SearchTree:
     flags, child order) is restored too, and each node's ``exhausted`` mark
     is recomputed from its children. A document that is not a JSON object,
     a field missing or not of its JSON kind (see ``_DOC_FIELDS``), a
-    negative ``simulations_run`` or ``total_backups``, a second root, a
+    negative ``simulations_run`` or ``total_backups``, a config ``q_init``
+    other than 0 (the edge value every unvisited node reads), a second root, a
     repeated node id, a parent that is not an earlier node, a non-root node
     without a step, a root with a step kind, a ``step_kind`` other than its
     text's, negative visits, ``|total_value| > visits``, a
@@ -486,6 +483,8 @@ def snapshot_to_tree(doc) -> SearchTree:
                 raise SnapshotError(f"{key} is {fields[key]}; a count is >= 0")
         gold = None if fields["gold_answer"] is None else normalize_answer(fields["gold_answer"])
         config_fields = _read_fields(fields["config"], _CONFIG_FIELDS)
+        if (q_init := config_fields.pop("q_init")) != 0.0:
+            raise SnapshotError(f"config q_init is {q_init!r}; an unvisited node's edge value is 0")
         config_fields["evaluation"] = EvaluationMode(config_fields["evaluation"])
         config = SearchConfig(**config_fields)
         question = ReasoningState(
@@ -581,7 +580,6 @@ def snapshot_to_tree(doc) -> SearchTree:
         node.exhausted = _is_exhausted(node)
     return SearchTree(
         root=root,
-        question=question,
         config=config,
         seed=fields["seed"],
         gold_answer=gold,

@@ -440,6 +440,15 @@ _HTTP_VERSION = re.compile(rb"HTTP/(\d{1,10})\.(\d{1,10})")
 _BLOCK_END = re.compile(rb"\n\r?\n")  # a line's end and the empty line after it
 
 
+def _keeps_alive(version: tuple[int, int], connection: str) -> bool:
+    """Whether a message leaves its connection open, by its HTTP version and
+    the tokens of its Connection value: before HTTP/1.1 only with a
+    keep-alive token, from 1.1 on unless with a close token (RFC 9112
+    sections 9.3 and 9.6)."""
+    tokens = {token.strip() for token in connection.lower().split(",")}
+    return "keep-alive" in tokens if version < (1, 1) else "close" not in tokens
+
+
 class _CutShort(Exception):
     """The stream ended before what was asked of it."""
 

@@ -26,7 +26,7 @@ import time
 
 from .core import EngineError, ReasoningState, json_field, parse_json
 from .policy import VERSION_HEADER, WIRE_VERSION, PolicyValueBackend, ProposalRequest, _step_to_wire
-from .policy import _HTTP_VERSION, _MAX_BODY, _CutShort, _Malformed, _OverLimit, _WireReader
+from .policy import _HTTP_VERSION, _MAX_BODY, _CutShort, _keeps_alive, _Malformed, _OverLimit, _WireReader
 
 logger = logging.getLogger(__name__)
 
@@ -101,8 +101,7 @@ class _BackendRequestHandler(socketserver.BaseRequestHandler):
         length = headers.get("content-length", "")
         if length.isdecimal() and (len(length) > 20 or int(length) > _MAX_BODY):
             return self._reply(413, {"error": f"body over {_MAX_BODY} bytes"})
-        connection = headers.get("connection", "").lower()
-        self.keep_alive = connection == "keep-alive" or (version >= (1, 1) and connection != "close")
+        self.keep_alive = _keeps_alive(version, headers.get("connection", ""))
         if version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
             self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         path = words[1].decode("latin-1")  # a leading // is not a scheme-less URL here

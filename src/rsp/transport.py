@@ -43,7 +43,7 @@ from requests.structures import CaseInsensitiveDict
 from requests.utils import get_encoding_from_headers
 from urllib3.exceptions import ProtocolError
 
-from .policy import _HTTP_VERSION, _MAX_BODY, _CutShort, _Malformed, _WireReader
+from .policy import _HTTP_VERSION, _MAX_BODY, _CutShort, _keeps_alive, _Malformed, _WireReader
 
 # What a session using this adapter offers; requests' own default also
 # offers br and zstd when their packages are installed.
@@ -178,8 +178,7 @@ class KeptAliveConnection:
 
     def _read_body(self, version, status, headers) -> tuple[bytes, bool]:
         """The body, raw as sent, and whether the connection stays open."""
-        connection = {token.strip() for token in headers.get("connection", "").lower().split(",")}
-        keep_alive = "keep-alive" in connection if version == (1, 0) else "close" not in connection
+        keep_alive = _keeps_alive(version, headers.get("connection", ""))
         if status in (204, 304):
             return b"", keep_alive
         if "transfer-encoding" in headers:

@@ -714,7 +714,7 @@ def test_criterion_05_tree_sweep_matches_hand_traces():
             for width, (want_history, want_best) in expectations.items():
                 tree = snapshot_to_tree(_snap_doc(nodes))
                 ids = _ids_by_node(tree)
-                best, history = q_sweep(tree.root, width, tree.config.q_init)
+                best, history = q_sweep(tree.root, width)
                 got = [[ids[node] for node in level] for level in history]
                 assert got == want_history, (name, width)
                 assert ids[best] == want_best, (name, width)
@@ -935,7 +935,7 @@ def _assert_search_invariants(tree):
         node = stack.pop()
         stack.extend(node.children)
         if node.stats.visits:
-            assert abs(node.stats.q(tree.config.q_init)) <= 1.0 + 1e-9
+            assert abs(node.stats.q()) <= 1.0 + 1e-9
         if node.terminal:
             assert not node.children
             assert node.stats.visits >= 1

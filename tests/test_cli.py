@@ -859,6 +859,12 @@ def _doctor_negative_total_backups(doc):
     return "total_backups is -9; a count is >= 0"
 
 
+def _doctor_q_init(doc):
+    # an unvisited node's edge value is 0, so a dump ranking it otherwise is refused
+    doc["config"]["q_init"] = 0.5
+    return "config q_init is 0.5; an unvisited node's edge value is 0"
+
+
 # Each doctor breaks a dumped snapshot and may return the message expected
 # after "input error: "; without one, any malformed-snapshot message will do.
 @pytest.mark.parametrize(
@@ -866,7 +872,8 @@ def _doctor_negative_total_backups(doc):
     [_doctor_c_puct, _doctor_step_text, _doctor_max_depth_zero, _doctor_leaf_prior_zero,
      _doctor_leaf_prior_negative, _doctor_no_nodes, _doctor_reward_without_gold,
      _doctor_answer_not_terminal, _doctor_leaf_model_value, _doctor_negative_simulations_run,
-     _doctor_negative_total_backups, _doctor_root_step_kind, _doctor_step_kind_not_the_texts],
+     _doctor_negative_total_backups, _doctor_root_step_kind, _doctor_step_kind_not_the_texts,
+     _doctor_q_init],
 )
 def test_inspect_calls_an_unloadable_snapshot_an_input_error(tmp_path, capsys, doctor):
     dataset = toy_dataset(tmp_path, n=1, seed=9)

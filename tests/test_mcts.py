@@ -1,5 +1,6 @@
 """Tree-search unit tests: scoring, expansion, backup, snapshots, rollouts."""
 
+import dataclasses
 import json
 import math
 import random
@@ -50,7 +51,6 @@ def fresh_tree(state=None, config=None, gold=None, seed=0):
     root = SearchNode(state=state, stats=NodeStats(prior=1.0), depth=state.depth)
     return SearchTree(
         root=root,
-        question=state,
         config=config or SearchConfig(),
         seed=seed,
         gold_answer=gold,
@@ -80,17 +80,17 @@ def test_puct_score_reference_point():
 
 def test_puct_score_unvisited_child_under_unvisited_parent():
     child = NodeStats(prior=0.9)
-    assert puct_score(child, parent_visits=0, c_puct=1.25, q_init=0.0) == 0.0
+    assert puct_score(child, parent_visits=0, c_puct=1.25) == 0.0
 
 
 def test_puct_unvisited_child_uses_q_init():
     child = NodeStats(prior=0.5)
-    score = puct_score(child, parent_visits=4, c_puct=1.0, q_init=-0.25)
-    assert score == pytest.approx(-0.25 + 0.5 * 2.0, abs=1e-12)
+    score = puct_score(child, parent_visits=4, c_puct=1.0)
+    assert score == pytest.approx(0.0 + 0.5 * 2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["c_puct", "q_init", "temperature"])
+@pytest.mark.parametrize("name", ["c_puct", "temperature"])
 def test_search_config_rejects_non_finite_numbers(name, value):
     # a NaN score compares false both ways, so select would always take the
     # first child
@@ -128,10 +128,10 @@ def test_select_follows_the_puct_argmax():
     cfg = tree.config
     for parent, chosen in zip(path, path[1:]):
         best = max(
-            puct_score(c.stats, parent.stats.visits, cfg.c_puct, cfg.q_init)
+            puct_score(c.stats, parent.stats.visits, cfg.c_puct)
             for c in parent.children
         )
-        got = puct_score(chosen.stats, parent.stats.visits, cfg.c_puct, cfg.q_init)
+        got = puct_score(chosen.stats, parent.stats.visits, cfg.c_puct)
         assert got == best
     assert not path[-1].children
 
@@ -721,11 +721,10 @@ def test_snapshot_config_keys_are_in_a_fixed_order():
 
 
 def _sweep_trace(tree, beam_width):
-    q_init = tree.config.q_init
-    best, levels = q_sweep(tree.root, beam_width, q_init)
+    best, levels = q_sweep(tree.root, beam_width)
 
     def key(node):
-        return node.state.render(), node.stats.q(q_init)
+        return node.state.render(), node.stats.q()
 
     return key(best), [[key(n) for n in level] for level in levels]
 
@@ -745,6 +744,44 @@ def test_loaded_snapshot_sweeps_like_the_built_tree(config):
             loaded = snapshot_to_tree(json.loads(json.dumps(tree_to_snapshot(tree))))
             for beam_width in (1, 2, 3):
                 assert _sweep_trace(loaded, beam_width) == _sweep_trace(tree, beam_width)
+
+
+@pytest.mark.parametrize(
+    "config", [SearchConfig(), inference_search_config()], ids=["training", "inference"]
+)
+def test_every_non_root_node_of_a_built_tree_is_visited(config):
+    # run_simulation evaluates and backs up every child expand makes, so an
+    # unvisited node's edge value (0) never ranks a node of a built tree
+    def unvisited(tree):
+        return [node.depth for node in iter_nodes(tree.root) if node is not tree.root and not node.stats.visits]
+
+    training = config.evaluation is EvaluationMode.TERMINAL_REWARD
+    for mode in (Mode.COLD, Mode.ORACLE):
+        for corpus_seed in (1, 2, 3):
+            corpus = toy_corpus(6, seed=corpus_seed)
+            backend = ToyBackend.for_corpus(corpus, mode=mode)
+            for problem in corpus:
+                gold = problem.gold_answer if training else None
+                for seed in (0, 1):
+                    tree = build_tree(problem.root_state(), gold, backend, config, seed=seed)
+                    assert unvisited(tree) == [], (mode, problem.id, seed)
+    # two of the root's three children and one grandchild are dead ends, and
+    # the other grandchild answers wrongly: every budget from 1 simulation to
+    # past the one that exhausts the root
+    state = make_state()
+    stalls, deep = code_step(analysis="stalls"), code_step(analysis="deep")
+    at_deep = apply_step(state, deep)
+    proposals = {
+        state.render(): [stalls, deep, code_step(analysis="stalls too")],
+        at_deep.render(): [code_step(analysis="stuck"), answer_step("41", mean_log_prob=-2.0)],
+    }
+    for attach_values in (False, True):
+        backend = ScriptedBackend(proposals, values={at_deep.render(): 0.5}, attach_values=attach_values)
+        for n_simulations in range(1, 12):
+            budget = dataclasses.replace(config, n_simulations=n_simulations)
+            tree = build_tree(state, "42", backend, budget)
+            assert unvisited(tree) == [], (attach_values, n_simulations)
+        assert tree.root.exhausted
 
 
 def _second_root(nodes):

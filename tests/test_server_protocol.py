@@ -213,20 +213,24 @@ def test_http_1_0_closes_after_the_reply_unless_asked_to_keep_alive(served):
         assert (code, json.loads(body)) == (200, expected)
         assert headers["connection"].lower() == "close"
         assert connection.closed_by_server()
-    with Connection(server) as connection:
-        for _ in range(2):
-            connection.send(post(version="HTTP/1.0", headers=["Connection: keep-alive"]))
-            code, _, body = connection.reply()
-            assert (code, json.loads(body)) == (200, expected)
+    # keep-alive is a token of the Connection value, in any case and order
+    for value in ("keep-alive", "keep-alive, foo", "Foo , Keep-Alive"):
+        with Connection(server) as connection:
+            for _ in range(2):
+                connection.send(post(version="HTTP/1.0", headers=[f"Connection: {value}"]))
+                code, _, body = connection.reply()
+                assert (code, json.loads(body)) == (200, expected), value
 
 
 def test_an_http_1_1_client_may_ask_to_close(served):
     server, _ = served
-    with Connection(server) as connection:
-        connection.send(post(headers=["Connection: close"]))
-        code, headers, _ = connection.reply()
-        assert code == 200 and headers["connection"].lower() == "close"
-        assert connection.closed_by_server()
+    # close is a token of the Connection value, in any case and order
+    for value in ("close", "close, te", "TE, Close"):
+        with Connection(server) as connection:
+            connection.send(post(headers=[f"Connection: {value}"]))
+            code, headers, _ = connection.reply()
+            assert code == 200 and headers["connection"].lower() == "close", value
+            assert connection.closed_by_server(), value
 
 
 def test_header_names_match_in_any_case(served):
